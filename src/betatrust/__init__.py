@@ -14,7 +14,6 @@ from .decision import (
     evaluate_request,
     risk_value,
     self_record,
-    update_record,
 )
 from .documents import (
     load_bundled_three_node,
@@ -31,6 +30,7 @@ from .errors import (
     DegeneratePosteriorError,
     InvalidVarianceError,
     NetworkDocumentError,
+    RangeError,
     TrustError,
 )
 from .fusion import (
@@ -56,7 +56,6 @@ from .netsim import (
     Network,
     ScenarioConfig,
     fifteen_node_config,
-    fixture_three_node,
     generate_network,
     risk_series,
     run_assessment,

@@ -18,7 +18,7 @@ from .errors import TrustError
 from .fusion import (
     DEFAULT_VARIANCE,
     TrustEstimate,
-    combined_trust,
+    beta_mean,
     fusion_weights,
     moments_to_beta,
     posterior_params,
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _estimate(mean: float, variance: float, label: str) -> TrustEstimate:
     try:
         return TrustEstimate(mean, variance)
-    except (TrustError, ValueError) as exc:
+    except TrustError as exc:
         raise TrustError(f"{label}: {exc}") from exc
 
 
@@ -108,9 +108,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         params_b = moments_to_beta(indirect)
     except TrustError as exc:
         raise TrustError(f"moment inversion of the indirect estimate failed: {exc}") from exc
-    posterior_params(params_a, params_b)
+    posterior = posterior_params(params_a, params_b)
     weights = fusion_weights(params_a, params_b)
-    combined = combined_trust(direct, indirect)
     for name, value in (
         ("alpha_a", params_a.alpha),
         ("beta_a", params_a.beta),
@@ -119,7 +118,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         ("k", weights.k),
         ("w_a", weights.w_a),
         ("w_b", weights.w_b),
-        ("combined", combined),
+        ("combined", beta_mean(posterior)),
     ):
         print(f"{name} {value:.6f}")
     return EXIT_OK
@@ -145,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.table1:
         if args.nodes is not None and args.nodes != 3:
             raise TrustError("--table1 is a three-node scenario; omit --nodes or pass 3")
-        network = netsim.fixture_three_node()
+        network = documents.load_bundled_three_node()
     else:
         if args.nodes is None:
             raise TrustError("--nodes is required unless --table1 is given")
@@ -188,7 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce_table1(args: argparse.Namespace) -> int:
-    network = netsim.fixture_three_node()
+    network = documents.load_bundled_three_node()
     result = netsim.run_assessment(network, COMBINERS[args.method])
     comments = [f"combiner: {args.method}"]
     if args.method == "beta":

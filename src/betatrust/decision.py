@@ -68,8 +68,8 @@ class TrustRecord:
     the combined-trust step; serialisers render the absent value as 0.
     The one exception is the self-trust convention of self_record, which
     fixes combined at 1 without evaluating anything.  The full estimates
-    rather than bare means are kept so the record can be re-evaluated
-    when either source is updated.
+    rather than bare means are kept so that evaluate_request can re-run
+    the record when either source changes.
     """
 
     required: float
@@ -138,30 +138,6 @@ def self_record() -> TrustRecord:
     """
     full = TrustEstimate(mean=1.0)
     return TrustRecord(0.0, full, full, 1.0, 0.0, Decision.ACCEPT_DIRECT)
-
-
-def update_record(
-    old: TrustRecord,
-    new_direct: Optional[TrustEstimate] = None,
-    new_indirect: Optional[TrustEstimate] = None,
-    appetite: RiskAppetite = RiskAppetite(),
-    combiner: Combiner = combined_trust,
-) -> TrustRecord:
-    """Replace one or both trust estimates and re-evaluate from scratch.
-
-    Trust evolution is re-formation: the result is identical to a fresh
-    evaluate_request on the merged inputs, so updating with the existing
-    estimates is a no-op.
-    """
-    if new_direct is None and new_indirect is None:
-        raise ValueError("update_record needs at least one new estimate")
-    return evaluate_request(
-        old.required,
-        new_direct if new_direct is not None else old.direct,
-        new_indirect if new_indirect is not None else old.indirect,
-        appetite,
-        combiner,
-    )
 
 
 def average_combiner(direct: TrustEstimate, indirect: TrustEstimate) -> float:

@@ -26,6 +26,7 @@ rendered with 4 decimal places.  Lines starting with '#' are comments.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -50,12 +51,26 @@ def _require(condition: bool, message: str, where: str) -> None:
         raise NetworkDocumentError(message, where)
 
 
+def _as_number(value: Any, name: str, where: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"field {name!r} must be a number, got {value!r}", where)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), f"field {name!r} must be finite, got {value!r}", where)
+    return number
+
+
 def _get_number(obj: Mapping[str, Any], key: str, where: str) -> float:
     _require(key in obj, f"missing field {key!r}", where)
-    value = obj[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"field {key!r} must be a number, got {value!r}", where)
-    return float(value)
+    return _as_number(obj[key], key, where)
+
+
+def _get_variance(obj: Mapping[str, Any], key: str, default: float, where: str) -> float:
+    value = _as_number(obj.get(key, default), key, where)
+    _require(value > 0.0, f"field {key!r} must be positive, got {value!r}", where)
+    return value
 
 
 def _get_unit(obj: Mapping[str, Any], key: str, where: str) -> float:
@@ -83,30 +98,22 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
 
     defaults = doc.get("defaults", {})
     _require(isinstance(defaults, dict), "field 'defaults' must be an object", "defaults")
-    default_variance = DEFAULT_VARIANCE
-    if "variance" in defaults:
-        default_variance = _get_number(defaults, "variance", "defaults")
-        _require(default_variance > 0.0, "default variance must be positive", "defaults.variance")
+    default_variance = _get_variance(defaults, "variance", DEFAULT_VARIANCE, "defaults")
     default_appetite = 0.0
     if "max_acceptable_risk" in defaults:
         default_appetite = _get_unit(defaults, "max_acceptable_risk", "defaults")
 
     appetites_doc = doc.get("appetites", {})
     _require(isinstance(appetites_doc, dict), "field 'appetites' must be an object", "appetites")
-    appetites: dict[int, RiskAppetite] = {}
-    for node in range(1, node_count + 1):
-        appetites[node] = RiskAppetite(default_appetite)
+    node_ids = {str(node): node for node in range(1, node_count + 1)}
+    appetites = {node: RiskAppetite(default_appetite) for node in node_ids.values()}
     for key, value in appetites_doc.items():
         where = f"appetites.{key}"
-        try:
-            node = int(key)
-        except ValueError:
-            raise NetworkDocumentError("appetite keys must be node ids", where) from None
-        _require(1 <= node <= node_count, f"unknown node {node}", where)
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-                 and 0.0 <= float(value) <= 1.0,
-                 f"appetite must be a number in [0, 1], got {value!r}", where)
-        appetites[node] = RiskAppetite(float(value))
+        _require(key in node_ids, f"appetite key {key!r} is not a node id 1..{node_count}",
+                 where)
+        appetite = _as_number(value, "appetite", where)
+        _require(0.0 <= appetite <= 1.0, f"appetite must lie in [0, 1], got {value!r}", where)
+        appetites[node_ids[key]] = RiskAppetite(appetite)
 
     edges_doc = doc.get("edges")
     _require(isinstance(edges_doc, list), "field 'edges' must be a list", "edges")
@@ -126,16 +133,12 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
         required = _get_unit(entry, "required", where)
         direct_mean = _get_unit(entry, "direct_mean", where)
         indirect_mean = _get_unit(entry, "indirect_mean", where)
-        direct_var = entry.get("direct_variance", default_variance)
-        indirect_var = entry.get("indirect_variance", default_variance)
-        for name, value in (("direct_variance", direct_var), ("indirect_variance", indirect_var)):
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-                     and float(value) > 0.0,
-                     f"field {name!r} must be a positive number, got {value!r}", where)
+        direct_var = _get_variance(entry, "direct_variance", default_variance, where)
+        indirect_var = _get_variance(entry, "indirect_variance", default_variance, where)
         edges[(src, dst)] = Edge(
             required=required,
-            direct=TrustEstimate(direct_mean, float(direct_var)),
-            indirect=TrustEstimate(indirect_mean, float(indirect_var)),
+            direct=TrustEstimate(direct_mean, direct_var),
+            indirect=TrustEstimate(indirect_mean, indirect_var),
         )
     return Network(node_count, edges, appetites)
 

@@ -19,6 +19,10 @@ class DegeneratePosteriorError(TrustError):
     """Combining the evidence would produce non-positive Beta shapes."""
 
 
+class RangeError(TrustError, ValueError):
+    """A value that must lie in [0, 1] lies outside it."""
+
+
 class ConfigurationError(TrustError):
     """A scenario configuration cannot produce a network."""
 

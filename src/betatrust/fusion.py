@@ -12,16 +12,22 @@ Beta kernel as the likelihood, the product of the two kernels
 
     p^(aA - 1) * (1 - p)^(bA - 1) * p^(aB - 1) * (1 - p)^(bB - 1)
 
-is the kernel of Beta(aA + aB - 1, bA + bB - 1).  Its mean is the
-combined trust:
+is the kernel of Beta(aA + aB - 1, bA + bB - 1).  The combined trust is
+its mean, and combined_trust evaluates it as this ratio of two positive
+shapes:
 
     C = (aA + aB - 1) / K,    K = aA + aB + bA + bB - 2
 
-and the same value decomposes into a weighted sum of the source means:
+The same value decomposes into a weighted sum of the source means:
 
     C = m_A * W_A + m_B * W_B
     W_A = (aA + bA) / K
     W_B = (aB + bB) * (aB - 1) / (aB * K)
+
+The sum explains how much each source counts (fusion_weights computes
+the weights, `betatrust fuse` prints them), but C is not evaluated
+through it: its terms cancel as aA + aB - 1 approaches 0, where the sum
+can round below zero.
 
 Note the shape arithmetic: multiplying the kernels lowers each combined
 exponent by one relative to summing the shape parameters outright, hence
@@ -30,8 +36,8 @@ exponent (bA + bB) on (1 - p) would shift the second shape up by one;
 the kernel product above is the form the conjugacy tests pin down.
 
 W_B is negative whenever aB < 1 (a very pessimistic indirect source).
-The weighted sum still equals the posterior mean exactly, so negative
-weights are returned as-is rather than clipped.
+The identity holds all the same, so negative weights are returned as-is
+rather than clipped.
 
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
@@ -42,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePosteriorError, InvalidVarianceError
+from .errors import DegeneratePosteriorError, InvalidVarianceError, RangeError
 
 # Trust means are clamped to [EPSILON, 1 - EPSILON] before the moment
 # inversion; a mean of exactly 0 or 1 would divide by zero in the beta
@@ -56,7 +62,7 @@ DEFAULT_VARIANCE = 0.01
 
 def _check_unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def clamp_mean(mean: float) -> float:
@@ -113,10 +119,6 @@ class FusionWeights:
     w_b: float
     k: float
 
-    def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise DegeneratePosteriorError(f"normaliser k must be positive, got {self.k!r}")
-
 
 def beta_pdf(params: BetaParams, x: float) -> float:
     """Density of Beta(alpha, beta) at x, evaluated in log space.
@@ -141,7 +143,12 @@ def beta_pdf(params: BetaParams, x: float) -> float:
 
 
 def beta_mean(params: BetaParams) -> float:
-    """Expected value alpha / (alpha + beta), strictly inside (0, 1)."""
+    """Expected value alpha / (alpha + beta).
+
+    It lies strictly inside (0, 1) in exact arithmetic.  In floating
+    point it rounds to 1.0 when beta is below about 2**-53 * alpha, and
+    to 0.0 only on underflow.
+    """
     return params.alpha / (params.alpha + params.beta)
 
 
@@ -211,16 +218,13 @@ def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     """Fuse a direct and an indirect trust estimate into the combined trust.
 
     The direct estimate plays the prior and the indirect estimate the
-    likelihood; swap the arguments to swap the roles.  The result is the
-    weighted sum m_A * W_A + m_B * W_B of the clamped source means,
-    which equals the posterior Beta mean up to floating point and lies
-    strictly inside (0, 1).
+    likelihood.  The result is the posterior Beta mean alpha / (alpha +
+    beta), evaluated directly rather than through the weighted sum of
+    fusion_weights, which equals it in exact arithmetic but cancels near
+    a degenerate posterior.  The kernel product is symmetric, so
+    swapping the roles changes the weights but not the result.
 
     Propagates InvalidVarianceError from the moment inversion and
     DegeneratePosteriorError when the combination is degenerate.
     """
-    params_a = moments_to_beta(direct)
-    params_b = moments_to_beta(indirect)
-    posterior_params(params_a, params_b)  # reject degenerate combinations
-    weights = fusion_weights(params_a, params_b)
-    return clamp_mean(direct.mean) * weights.w_a + clamp_mean(indirect.mean) * weights.w_b
+    return beta_mean(posterior_params(moments_to_beta(direct), moments_to_beta(indirect)))

@@ -224,45 +224,6 @@ def risk_series(result: AssessmentResult, node: int) -> list[tuple[int, float]]:
     ]
 
 
-# Reference three-node scenario, transcribed once; row i of each tuple
-# holds the values from node i to nodes 1..3 (diagonal unused).
-_THREE_NODE_T = (
-    (0.0, 0.4546, 0.7148),
-    (0.7688, 0.0, 0.5383),
-    (0.5846, 0.2413, 0.0),
-)
-_THREE_NODE_A = (
-    (1.0, 0.5133, 0.6844),
-    (0.5141, 1.0, 0.1610),
-    (0.4685, 0.7003, 1.0),
-)
-_THREE_NODE_B = (
-    (1.0, 0.7578, 0.0445),
-    (0.8596, 1.0, 0.5953),
-    (0.4558, 0.0777, 1.0),
-)
-
-
-def fixture_three_node() -> Network:
-    """The bundled three-node reference network, fully connected.
-
-    Carries the default variance on every estimate and the conservative
-    default appetite; equal to the copy shipped as a data file (see
-    betatrust.documents.load_network).
-    """
-    edges = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i == j:
-                continue
-            edges[(i, j)] = Edge(
-                required=_THREE_NODE_T[i - 1][j - 1],
-                direct=TrustEstimate(_THREE_NODE_A[i - 1][j - 1]),
-                indirect=TrustEstimate(_THREE_NODE_B[i - 1][j - 1]),
-            )
-    return Network(3, edges)
-
-
 def fifteen_node_config() -> ScenarioConfig:
     """The committed fifteen-node experiment configuration."""
     return ScenarioConfig(seed=FIFTEEN_NODE_SEED, node_count=15, edge_probability=0.3)
@@ -276,7 +237,6 @@ __all__ = [
     "Network",
     "ScenarioConfig",
     "fifteen_node_config",
-    "fixture_three_node",
     "generate_network",
     "risk_series",
     "run_assessment",

@@ -18,9 +18,9 @@ from betatrust import (
     beta_variance,
     combined_trust,
     fifteen_node_config,
-    fixture_three_node,
     fusion_weights,
     generate_network,
+    load_bundled_three_node,
     moments_to_beta,
     posterior_params,
     risk_series,
@@ -43,7 +43,7 @@ def test_c1_reference_table_risks():
 
 @pytest.mark.criterion(2, "three-node decision pattern and zero structure")
 def test_c2_three_node_decision_pattern():
-    result = run_assessment(fixture_three_node())
+    result = run_assessment(load_bundled_three_node())
     assert result.decisions[(1, 2)] is Decision.ACCEPT_DIRECT
     assert result.decisions[(3, 2)] is Decision.ACCEPT_DIRECT
     assert result.decisions[(2, 1)] is Decision.ACCEPT_INDIRECT

@@ -96,6 +96,21 @@ class TestDecide:
         assert "variance" in cp.stderr
 
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("--t", "1.5", "--a", "0.1", "--b", "0.1"), "required"),
+            (("--t", "0.9", "--a", "0.1", "--b", "0.1", "--appetite", "2"),
+             "max_acceptable_risk"),
+        ],
+    )
+    def test_out_of_range_value_exits_one(self, args, field):
+        cp = run_cli("decide", *args)
+        assert cp.returncode == 1
+        assert cp.stderr.startswith(f"betatrust decide: {field} must lie in [0, 1]")
+        assert "Traceback" not in cp.stderr
+
+
 class TestSimulate:
     def test_deterministic_files(self, tmp_path):
         out = tmp_path / "run"
@@ -144,6 +159,12 @@ class TestSimulate:
         cp = run_cli("simulate", "--nodes", "1", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1
         assert "node_count" in cp.stderr
+
+    def test_out_of_range_appetite_exits_one(self, tmp_path):
+        cp = run_cli("simulate", "--nodes", "4", "--appetite", "2", "--out", str(tmp_path / "x"))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("betatrust simulate: max_acceptable_risk must lie in [0, 1]")
+        assert "Traceback" not in cp.stderr
 
     def test_nodes_required_without_fixture_flag(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))

@@ -11,12 +11,15 @@ from betatrust import (
     evaluate_request,
     risk_value,
     self_record,
-    update_record,
 )
 
 # reference edge 1->3: combined and risk under variance 0.01 (50-digit script)
 COMBINED_13 = 0.6060471220991707
 RISK_13 = 0.10875287790082932
+
+# aA + aB - 1 is 2**-52: the posterior mean is about 7e-16
+NEAR_DEGENERATE_DIRECT = TrustEstimate(0.4324296867870303, 0.07820908251563337)
+NEAR_DEGENERATE_INDIRECT = TrustEstimate(0.44687694450688287, 0.2114986240697817)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 unit = st.floats(min_value=0.0, max_value=1.0, **finite)
@@ -99,6 +102,12 @@ class TestEvaluateRequest:
         assert record.risk == 0.0
         assert record.combined is not None and record.combined >= 0.93
 
+    def test_near_degenerate_posterior_declines(self):
+        record = evaluate_request(0.9, NEAR_DEGENERATE_DIRECT, NEAR_DEGENERATE_INDIRECT)
+        assert record.decision is Decision.DECLINE
+        assert 0.0 < record.combined < 1.0
+        assert record.risk == 0.9 - record.combined
+
     def test_diagonal_convention_consistency(self):
         record = evaluate_request(0.0, TrustEstimate(1.0), TrustEstimate(1.0))
         assert record.decision is Decision.ACCEPT_DIRECT
@@ -159,33 +168,25 @@ class TestSelfRecord:
 
 
 class TestUpdateRecord:
+    """Trust evolution is re-formation: an updated record is a fresh
+    evaluate_request on the record's requirement and the new estimates."""
+
     def test_direct_update_flips_to_accept_direct(self):
         old = evaluate_request(0.5383, TrustEstimate(0.1610), TrustEstimate(0.5953))
         assert old.decision is Decision.ACCEPT_INDIRECT
-        new = update_record(old, new_direct=TrustEstimate(0.60))
+        new = evaluate_request(old.required, TrustEstimate(0.60), old.indirect)
         assert new.decision is Decision.ACCEPT_DIRECT
 
     def test_idempotent_with_same_estimates(self):
         old = evaluate_request(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))
-        again = update_record(old, new_direct=old.direct, new_indirect=old.indirect)
+        again = evaluate_request(old.required, old.direct, old.indirect)
         assert again == old
 
     def test_rerun_follows_short_circuit_order(self):
         old = evaluate_request(0.4546, TrustEstimate(0.5133), TrustEstimate(0.7578))
         assert old.decision is Decision.ACCEPT_DIRECT
-        new = update_record(old, new_direct=TrustEstimate(0.40))
+        new = evaluate_request(old.required, TrustEstimate(0.40), old.indirect)
         assert new.decision is Decision.ACCEPT_INDIRECT
-
-    def test_requires_at_least_one_estimate(self):
-        old = self_record()
-        with pytest.raises(ValueError):
-            update_record(old)
-
-    def test_matches_fresh_evaluation(self):
-        old = evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3))
-        updated = update_record(old, new_indirect=TrustEstimate(0.35, 0.02))
-        fresh = evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.35, 0.02))
-        assert updated == fresh
 
 
 def test_appetite_range_validated():

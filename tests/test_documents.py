@@ -1,5 +1,7 @@
 """File-format tests: network documents and matrix tables."""
 import hashlib
+import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -9,7 +11,6 @@ from betatrust import (
     NetworkDocumentError,
     RiskAppetite,
     document_to_network,
-    fixture_three_node,
     generate_network,
     load_bundled_three_node,
     load_network,
@@ -45,9 +46,6 @@ class TestBundledFixture:
         )
         assert hashlib.sha256(data).hexdigest() == THREE_NODE_SHA256
 
-    def test_equals_programmatic_fixture(self):
-        assert load_bundled_three_node() == fixture_three_node()
-
 
 class TestNetworkDocument:
     def test_round_trip(self):
@@ -58,7 +56,7 @@ class TestNetworkDocument:
         assert document_to_network(network_to_document(network)) == network
 
     def test_save_load_round_trip(self, tmp_path):
-        network = fixture_three_node()
+        network = load_bundled_three_node()
         path = tmp_path / "net.json"
         save_network(network, path)
         assert load_network(path) == network
@@ -91,6 +89,48 @@ class TestNetworkDocument:
         network = document_to_network(doc)
         assert network.appetite_for(1) == RiskAppetite(0.0)
         assert network.appetite_for(2) == RiskAppetite(0.4)
+
+    @pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "02", "+2", "2.0"])
+    def test_appetite_key_must_be_a_node_id_as_written(self, key):
+        doc = minimal_document()
+        doc["nodes"] = list(range(1, 11))
+        doc["appetites"] = {key: 0.4}
+        with pytest.raises(NetworkDocumentError, match="not a node id"):
+            document_to_network(doc)
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-1e400")]
+    )
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("defaults", "variance", "defaults: field 'variance'"),
+            ("defaults", "max_acceptable_risk", "defaults: field 'max_acceptable_risk'"),
+            ("appetites", "2", "appetites.2: field 'appetite'"),
+            ("edge", "required", "edges[0]: field 'required'"),
+            ("edge", "direct_mean", "edges[0]: field 'direct_mean'"),
+            ("edge", "indirect_mean", "edges[0]: field 'indirect_mean'"),
+            ("edge", "direct_variance", "edges[0]: field 'direct_variance'"),
+            ("edge", "indirect_variance", "edges[0]: field 'indirect_variance'"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_its_path(self, section, key, message, value):
+        doc = minimal_document()
+        target = doc["edges"][0] if section == "edge" else doc.setdefault(section, {})
+        target[key] = value
+        with pytest.raises(NetworkDocumentError, match=re.escape(f"{message} must be finite")):
+            document_to_network(doc)
+
+    def test_infinity_in_file_rejected(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(
+            '{"schema_version": 1, "nodes": [1, 2], "edges": [{"from": 1, "to": 2,'
+            ' "required": 0.5, "direct_mean": 0.4, "indirect_mean": 0.6,'
+            ' "direct_variance": Infinity}]}',
+            encoding="utf-8",
+        )
+        with pytest.raises(NetworkDocumentError, match=r"edges\[0\].*direct_variance"):
+            load_network(path)
 
     def test_range_violation_names_the_edge(self):
         doc = minimal_document()
@@ -147,7 +187,7 @@ class TestNetworkDocument:
 
 class TestMatrixTable:
     def test_fixture_rendering_matches_reference_values(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         text = render_matrices([1, 2, 3], result.as_matrix_dict())
         lines = text.splitlines()
         assert lines[0].startswith("#")
@@ -160,7 +200,7 @@ class TestMatrixTable:
         assert lines[b_start + 2] == "0.4558,0.0777,1.0000"
 
     def test_four_decimal_rendering_parses_back_close(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         text = render_matrices([1, 2, 3], result.as_matrix_dict())
         labels, matrices = parse_matrices(text)
         assert labels == [1, 2, 3]
@@ -177,14 +217,14 @@ class TestMatrixTable:
             assert np.max(np.abs(parsed[name] - matrices[name])) <= 5e-5
 
     def test_comments_are_ignored_by_parser(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         text = render_matrices([1, 2, 3], result.as_matrix_dict(),
                                comments=["combiner: beta", "anything"])
         labels, _ = parse_matrices(text)
         assert labels == [1, 2, 3]
 
     def test_section_order_enforced(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         text = render_matrices([1, 2, 3], result.as_matrix_dict())
         scrambled = text.replace("\nT\n", "\nX\n", 1)
         with pytest.raises(ValueError, match="expected section"):
@@ -197,7 +237,7 @@ class TestMatrixTable:
             render_matrices([1, 2], matrices)
 
     def test_risk_table_layout(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         text = render_risk_table([1, 2, 3], result.r_matrix)
         lines = text.splitlines()
         assert lines[0] == "node,1,2,3"

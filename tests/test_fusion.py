@@ -15,6 +15,8 @@ from betatrust import (
     DegeneratePosteriorError,
     InvalidVarianceError,
     MEAN_EPSILON,
+    RangeError,
+    TrustError,
     TrustEstimate,
     beta_mean,
     beta_pdf,
@@ -225,10 +227,12 @@ class TestCombinedTrust:
             beta_mean(posterior), abs=1e-14
         )
 
-    def test_role_swap_changes_result(self):
+    def test_role_swap_changes_weights_not_result(self):
         direct = TrustEstimate(0.6844, 0.01)
         indirect = TrustEstimate(0.0445, 0.02)
-        assert combined_trust(direct, indirect) != combined_trust(indirect, direct)
+        params_d, params_i = moments_to_beta(direct), moments_to_beta(indirect)
+        assert fusion_weights(params_d, params_i) != fusion_weights(params_i, params_d)
+        assert combined_trust(direct, indirect) == combined_trust(indirect, direct)
 
     def test_propagates_invalid_variance(self):
         with pytest.raises(InvalidVarianceError):
@@ -239,6 +243,15 @@ class TestCombinedTrust:
         weak = TrustEstimate(0.1, 0.06)
         with pytest.raises(DegeneratePosteriorError):
             combined_trust(weak, weak)
+
+    def test_near_degenerate_posterior_stays_in_unit_interval(self):
+        # aA + aB - 1 is 2**-52, where the weighted sum cancels to -4.4e-16
+        direct = TrustEstimate(0.4324296867870303, 0.07820908251563337)
+        indirect = TrustEstimate(0.44687694450688287, 0.2114986240697817)
+        posterior = posterior_params(moments_to_beta(direct), moments_to_beta(indirect))
+        combined = combined_trust(direct, indirect)
+        assert 0.0 < combined < 1.0
+        assert combined == beta_mean(posterior)
 
     def test_deterministic(self):
         a = TrustEstimate(0.3141592653589793, 0.0123456789)
@@ -257,3 +270,10 @@ def test_beta_params_must_be_positive():
         BetaParams(0.0, 1.0)
     with pytest.raises(ValueError):
         BetaParams(1.0, -2.0)
+
+
+def test_range_error_is_a_trust_error_and_a_value_error():
+    with pytest.raises(RangeError) as info:
+        TrustEstimate(1.5)
+    assert isinstance(info.value, TrustError)
+    assert isinstance(info.value, ValueError)

@@ -17,6 +17,7 @@ from scipy import integrate
 
 from betatrust import (
     BetaParams,
+    TrustError,
     TrustEstimate,
     beta_mean,
     beta_pdf,
@@ -39,6 +40,75 @@ def trust_estimates(draw):
     mean = draw(means)
     fraction = draw(variance_fractions)
     return TrustEstimate(mean, fraction * mean * (1.0 - mean))
+
+
+def estimate_with_shapes(alpha: float, beta: float) -> TrustEstimate:
+    """The estimate whose moment inversion gives Beta(alpha, beta)."""
+    total = alpha + beta
+    return TrustEstimate(alpha / total, alpha * beta / (total * total * (total + 1.0)))
+
+
+wide_shapes = st.floats(min_value=1.0, max_value=50.0, **finite)
+
+
+@st.composite
+def small_alpha_estimates(draw):
+    """Estimates whose Beta alpha lies in (0, 1), so a complement exists."""
+    alpha = draw(st.floats(min_value=1e-3, max_value=0.999, **finite))
+    beta = draw(st.floats(min_value=1e-2, max_value=50.0, **finite))
+    return estimate_with_shapes(alpha, beta)
+
+
+@st.composite
+def near_bound_estimates(draw):
+    """Estimates whose variance approaches the Beta bound m(1 - m) from below."""
+    mean = draw(means)
+    shortfall = draw(st.floats(min_value=1e-15, max_value=1e-2, **finite))
+    return TrustEstimate(mean, (1.0 - shortfall) * mean * (1.0 - mean))
+
+
+@st.composite
+def complements(draw, estimate):
+    """An estimate whose alpha is 1 - alpha(estimate) plus a few ulps.
+
+    Paired with the estimate it drives the posterior alpha aA + aB - 1
+    towards 0 from above, where the weighted sum cancels.  Its beta of
+    at least 1 keeps the posterior beta positive.
+    """
+    ulps = draw(st.integers(min_value=0, max_value=1 << 30))
+    alpha = 1.0 - moments_to_beta(estimate).alpha + ulps * 2.0**-52
+    return estimate_with_shapes(alpha, draw(wide_shapes))
+
+
+def check_combined_is_posterior_mean(direct, indirect):
+    """0 < C < 1 and C is the posterior mean, wherever the shapes are accepted.
+
+    C rounds to exactly 1.0 when the posterior beta is below 2**-53 of
+    its alpha (a near-bound source beside one with beta 1 gets there);
+    only then may C reach 1.
+    """
+    try:
+        posterior = posterior_params(moments_to_beta(direct), moments_to_beta(indirect))
+    except TrustError:
+        assume(False)
+    combined = combined_trust(direct, indirect)
+    assert 0.0 < combined <= 1.0
+    assert combined < 1.0 or posterior.beta < posterior.alpha * 2.0**-52
+    assert combined == beta_mean(posterior)
+
+
+@given(st.data())
+def test_combined_trust_as_posterior_alpha_vanishes(data):
+    direct = data.draw(small_alpha_estimates())
+    check_combined_is_posterior_mean(direct, data.draw(complements(direct)))
+
+
+@given(st.data())
+def test_combined_trust_near_variance_bound(data):
+    near = data.draw(near_bound_estimates())
+    wide = st.builds(estimate_with_shapes, wide_shapes, wide_shapes)
+    other = data.draw(st.one_of(wide, complements(near)))
+    check_combined_is_posterior_mean(near, other)
 
 
 @given(trust_estimates())

@@ -20,8 +20,8 @@ from betatrust import (
     ScenarioConfig,
     TrustEstimate,
     fifteen_node_config,
-    fixture_three_node,
     generate_network,
+    load_bundled_three_node,
     network_to_document,
     risk_series,
     run_assessment,
@@ -148,7 +148,7 @@ class TestNetworkValidation:
 
 class TestFixtureAssessment:
     def test_fixture_values(self):
-        network = fixture_three_node()
+        network = load_bundled_three_node()
         assert len(network.edges) == 6
         assert network.edges[(1, 2)].required == 0.4546
         assert network.edges[(1, 2)].direct.mean == 0.5133
@@ -156,7 +156,7 @@ class TestFixtureAssessment:
         assert network.edges[(3, 2)].indirect.mean == 0.0777
 
     def test_reference_decisions(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         assert result.decisions[(1, 2)] is Decision.ACCEPT_DIRECT
         assert result.decisions[(3, 2)] is Decision.ACCEPT_DIRECT
         assert result.decisions[(2, 1)] is Decision.ACCEPT_INDIRECT
@@ -165,31 +165,31 @@ class TestFixtureAssessment:
         assert result.decisions[(3, 1)].reached_combined
 
     def test_combined_and_risk_cells(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         assert result.c_matrix[0, 2] == pytest.approx(COMBINED_13, rel=1e-12)
         assert result.c_matrix[2, 0] == pytest.approx(COMBINED_31, rel=1e-12)
         assert result.r_matrix[0, 2] == pytest.approx(RISK_13, rel=1e-12)
         assert result.r_matrix[2, 0] == pytest.approx(RISK_31, rel=1e-12)
 
     def test_zero_pattern_matches_reference_table(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         c_nonzero = {(i + 1, j + 1) for i, j in zip(*np.nonzero(result.c_matrix)) if i != j}
         r_nonzero = {(i + 1, j + 1) for i, j in zip(*np.nonzero(result.r_matrix))}
         assert c_nonzero == {(1, 3), (3, 1)}
         assert r_nonzero == {(1, 3), (3, 1)}
 
     def test_matrix_conventions(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         assert np.array_equal(np.diag(result.t_matrix), np.zeros(3))
         assert np.array_equal(np.diag(result.r_matrix), np.zeros(3))
         for matrix in (result.a_matrix, result.b_matrix, result.c_matrix):
             assert np.array_equal(np.diag(matrix), np.ones(3))
 
     def test_average_combiner(self):
-        result = run_assessment(fixture_three_node(), COMBINERS["average"])
+        result = run_assessment(load_bundled_three_node(), COMBINERS["average"])
         assert result.c_matrix[0, 2] == pytest.approx((0.6844 + 0.0445) / 2, abs=1e-15)
         assert result.c_matrix[2, 0] == pytest.approx((0.4685 + 0.4558) / 2, abs=1e-15)
-        beta_result = run_assessment(fixture_three_node())
+        beta_result = run_assessment(load_bundled_three_node())
         assert np.array_equal(
             result.c_matrix != 0.0, beta_result.c_matrix != 0.0
         )
@@ -234,6 +234,18 @@ class TestRunAssessment:
         assert result.decisions[(2, 1)] is Decision.ACCEPT_DIRECT
         assert result.a_matrix[0, 1] == 0.998  # inputs stay reported
 
+    def test_near_degenerate_edge_is_assessed(self):
+        # aA + aB - 1 is 2**-52: the posterior mean is about 7e-16
+        edge = Edge(
+            0.9,
+            TrustEstimate(0.4324296867870303, 0.07820908251563337),
+            TrustEstimate(0.44687694450688287, 0.2114986240697817),
+        )
+        result = run_assessment(Network(2, {(1, 2): edge}))
+        assert result.errors == []
+        assert result.decisions[(1, 2)] is Decision.DECLINE
+        assert 0.0 < result.c_matrix[0, 1] < 1.0
+
     def test_appetite_of_evaluating_node_applies(self):
         edges = {(1, 2): Edge(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))}
         lenient = Network(2, edges, {1: RiskAppetite(1.0)})
@@ -269,7 +281,7 @@ class TestRunAssessment:
         assert result.decisions == decisions
 
     def test_oracle_agrees_on_fixture(self):
-        network = fixture_three_node()
+        network = load_bundled_three_node()
         result = run_assessment(network)
         t, a, b, c, r, decisions = oracle_assessment(network)
         assert np.allclose(result.c_matrix, c, atol=1e-12, rtol=0.0)
@@ -299,7 +311,7 @@ class TestRiskSeries:
                     assert (node, peer) in network.edges
 
     def test_out_of_range_node(self):
-        result = run_assessment(fixture_three_node())
+        result = run_assessment(load_bundled_three_node())
         with pytest.raises(ValueError):
             risk_series(result, 0)
         with pytest.raises(ValueError):
