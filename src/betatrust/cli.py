@@ -1,14 +1,11 @@
 """Command-line surface: fuse, decide, simulate, reproduce-table1.
 
 Exit codes: 0 for success and accepted decisions, 2 for a declined
-decision, 1 for usage and math errors.  Diagnostics go to stderr.  The
-environment variable BETATRUST_VARIANCE overrides the default variance
-wherever no --var flag is given.
+decision, 1 for usage and math errors.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -28,21 +25,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DECLINE = 2
 
-VARIANCE_ENV = "BETATRUST_VARIANCE"
-
-
-def _env_default_variance() -> float:
-    raw = os.environ.get(VARIANCE_ENV)
-    if raw is None:
-        return DEFAULT_VARIANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise TrustError(f"{VARIANCE_ENV} must be a number, got {raw!r}") from None
-    if value <= 0.0:
-        raise TrustError(f"{VARIANCE_ENV} must be positive, got {raw!r}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuse = sub.add_parser("fuse", help="fuse a direct and an indirect trust value")
     fuse.add_argument("--a", type=float, required=True, help="direct trust mean")
     fuse.add_argument("--b", type=float, required=True, help="indirect trust mean")
-    fuse.add_argument("--var", type=float, default=None, help="variance for both sources")
+    fuse.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
+                      help="variance for both sources (default %(default)s)")
     fuse.add_argument("--var-a", type=float, default=None, help="direct variance override")
     fuse.add_argument("--var-b", type=float, default=None, help="indirect variance override")
 
@@ -62,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--t", type=float, required=True, help="required trust")
     decide.add_argument("--a", type=float, required=True, help="direct trust mean")
     decide.add_argument("--b", type=float, required=True, help="indirect trust mean")
-    decide.add_argument("--var", type=float, default=None, help="variance for both sources")
+    decide.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
+                        help="variance for both sources (default %(default)s)")
     decide.add_argument("--appetite", type=float, default=0.0,
                         help="maximum acceptable risk (default 0)")
 
@@ -71,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0, help="scenario seed")
     simulate.add_argument("--edge-prob", type=float, default=0.3,
                           help="edge probability (default 0.3)")
-    simulate.add_argument("--var", type=float, default=None, help="variance for all estimates")
+    simulate.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
+                          help="variance for all estimates (default %(default)s)")
     simulate.add_argument("--appetite", type=float, default=0.0,
                           help="per-node maximum acceptable risk (default 0)")
     simulate.add_argument("--method", choices=sorted(COMBINERS), default="beta",
@@ -97,9 +82,8 @@ def _estimate(mean: float, variance: float, label: str) -> TrustEstimate:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    variance = args.var if args.var is not None else _env_default_variance()
-    direct = _estimate(args.a, args.var_a if args.var_a is not None else variance, "--a")
-    indirect = _estimate(args.b, args.var_b if args.var_b is not None else variance, "--b")
+    direct = _estimate(args.a, args.var if args.var_a is None else args.var_a, "--a")
+    indirect = _estimate(args.b, args.var if args.var_b is None else args.var_b, "--b")
     try:
         params_a = moments_to_beta(direct)
     except TrustError as exc:
@@ -125,11 +109,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    variance = args.var if args.var is not None else _env_default_variance()
     record = evaluate_request(
         args.t,
-        _estimate(args.a, variance, "--a"),
-        _estimate(args.b, variance, "--b"),
+        _estimate(args.a, args.var, "--a"),
+        _estimate(args.b, args.var, "--b"),
         RiskAppetite(args.appetite),
     )
     combined = "-" if record.combined is None else f"{record.combined:.6f}"
@@ -140,7 +123,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    variance = args.var if args.var is not None else _env_default_variance()
     if args.table1:
         if args.nodes is not None and args.nodes != 3:
             raise TrustError("--table1 is a three-node scenario; omit --nodes or pass 3")
@@ -152,8 +134,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             node_count=args.nodes,
             edge_probability=args.edge_prob,
-            variance_direct=variance,
-            variance_indirect=variance,
+            variance_direct=args.var,
+            variance_indirect=args.var,
             max_acceptable_risk=args.appetite,
         )
         network = netsim.generate_network(config)

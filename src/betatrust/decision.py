@@ -62,26 +62,16 @@ class RiskAppetite:
 
 @dataclass(frozen=True)
 class TrustRecord:
-    """One directed edge's bookkeeping: requirement, sources, outcome.
+    """Outcome of one job request: combined trust, risk and decision.
 
     combined is None exactly when the decision short-circuited before
     the combined-trust step; serialisers render the absent value as 0.
-    The one exception is the self-trust convention of self_record, which
-    fixes combined at 1 without evaluating anything.  The full estimates
-    rather than bare means are kept so that evaluate_request can re-run
-    the record when either source changes.
+    risk is 0 unless the chain reached C.
     """
 
-    required: float
-    direct: TrustEstimate
-    indirect: TrustEstimate
     combined: Optional[float]
     risk: float
     decision: Decision
-
-    def __post_init__(self) -> None:
-        _check_unit_interval("required", self.required)
-        _check_unit_interval("risk", self.risk)
 
 
 def risk_value(required: float, achieved: float) -> float:
@@ -110,14 +100,16 @@ def evaluate_request(
     outcome is ACCEPT_COMBINED (no shortfall), ACCEPT_WITH_RISK
     (shortfall within appetite) or DECLINE.
 
-    Fusion errors from the combiner propagate unchanged; batch callers
-    attach edge identification (see netsim.run_assessment).
+    Every failure is a TrustError: fusion errors from the combiner
+    propagate unchanged, and a combined value outside [0, 1] (NaN and
+    infinities included) raises RangeError.  Batch callers attach edge
+    identification (see netsim.run_assessment).
     """
     _check_unit_interval("required", required)
     if direct.mean >= required:
-        return TrustRecord(required, direct, indirect, None, 0.0, Decision.ACCEPT_DIRECT)
+        return TrustRecord(None, 0.0, Decision.ACCEPT_DIRECT)
     if indirect.mean >= required:
-        return TrustRecord(required, direct, indirect, None, 0.0, Decision.ACCEPT_INDIRECT)
+        return TrustRecord(None, 0.0, Decision.ACCEPT_INDIRECT)
     combined = combiner(direct, indirect)
     risk = risk_value(required, combined)
     if risk == 0.0:
@@ -126,18 +118,7 @@ def evaluate_request(
         decision = Decision.ACCEPT_WITH_RISK
     else:
         decision = Decision.DECLINE
-    return TrustRecord(required, direct, indirect, combined, risk, decision)
-
-
-def self_record() -> TrustRecord:
-    """The fixed convention for a node's trust in itself.
-
-    A node blindly trusts itself: no required trust, no risk, and all
-    three trust values pinned at 1.  These diagonal values never enter
-    any calculation.
-    """
-    full = TrustEstimate(mean=1.0)
-    return TrustRecord(0.0, full, full, 1.0, 0.0, Decision.ACCEPT_DIRECT)
+    return TrustRecord(combined, risk, decision)
 
 
 def average_combiner(direct: TrustEstimate, indirect: TrustEstimate) -> float:

@@ -88,11 +88,11 @@ class BetaParams:
 class TrustEstimate:
     """A trust value in [0, 1] together with the variance of the estimate.
 
-    The variance must be strictly positive.  Whether it is also small
-    enough for a Beta distribution with this mean (variance < m*(1-m)
-    after clamping) is enforced by moments_to_beta at fusion time, not
-    here, so fixed-convention values such as a node's full trust in
-    itself (mean 1.0) stay representable in records.
+    The variance must be strictly positive.  Whether a Beta distribution
+    with this mean can have it (see moments_to_beta) is checked only when
+    the estimate is fused: a request accepted via A never inverts its
+    direct estimate, so a source at mean 1.0 with the default variance,
+    far above its clamped bound m*(1-m) of about 1e-6, still accepts.
     """
 
     mean: float
@@ -163,10 +163,12 @@ def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
 
     The mean is clamped away from 0 and 1 first.  Raises
     InvalidVarianceError when the variance is at least m*(1-m), the
-    supremum attainable by any Beta distribution with mean m; both
-    recovered shapes are strictly positive otherwise, and feeding them
-    back through beta_mean / beta_variance reproduces the (clamped)
-    input moments.
+    supremum attainable by any Beta distribution with mean m, or below
+    m*(1-m)*2**-1022, where alpha + beta would exceed 2**1022 and the
+    shape sum of a posterior built from them could overflow.  Both
+    recovered shapes are finite and strictly positive otherwise, and
+    feeding them back through beta_mean / beta_variance reproduces the
+    (clamped) input moments wherever (alpha + beta)**3 stays finite.
     """
     m = clamp_mean(estimate.mean)
     bound = m * (1.0 - m)
@@ -174,6 +176,11 @@ def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
         raise InvalidVarianceError(
             f"variance {estimate.variance!r} >= mean*(1-mean) = {bound!r}: "
             "no Beta distribution has these moments"
+        )
+    if estimate.variance < bound * 2.0**-1022:
+        raise InvalidVarianceError(
+            f"variance {estimate.variance!r} < mean*(1-mean)*2**-1022: "
+            "the Beta shapes would overflow"
         )
     alpha = m * (bound / estimate.variance - 1.0)
     beta = alpha * (1.0 - m) / m

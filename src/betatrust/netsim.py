@@ -1,9 +1,9 @@
 """Directed trust networks: seeded generation and batch assessment.
 
 Node ids run from 1 to node_count.  Trust is asymmetric, so the edges
-(i, j) and (j, i) are independent, and there are no self-edges: a node's
-trust in itself is the fixed self_record convention and shows up only as
-the diagonal of the result matrices (1 for A, B, C and 0 for T, R).
+(i, j) and (j, i) are independent, and there are no self-edges: a node
+blindly trusts itself, which shows up only as the diagonal of the result
+matrices (1 for A, B, C and 0 for T, R) and never enters a calculation.
 
 Edges are evaluated independently of each other, so run_assessment may
 be parallelised over edges without coordination; the serial loop below
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decision import Combiner, Decision, RiskAppetite, combined_trust, evaluate_request
-from .errors import ConfigurationError, DegeneratePosteriorError, InvalidVarianceError
+from .errors import ConfigurationError, TrustError
 from .fusion import DEFAULT_VARIANCE, TrustEstimate, _check_unit_interval
 
 # Committed seed of the fifteen-node reference experiment.  Chosen once
@@ -100,7 +100,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class EdgeError:
-    """A fusion failure on one edge, reported without aborting the batch."""
+    """A failure on one edge, reported without aborting the batch.
+
+    kind is the name of the TrustError subclass the edge raised, for
+    example InvalidVarianceError, or RangeError for a combined value
+    outside [0, 1].
+    """
 
     from_node: int
     to_node: int
@@ -177,9 +182,11 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     """Evaluate every edge of the network and fill the result matrices.
 
     The evaluating node of edge (i, j) is i, so its appetite applies.
-    A fusion failure on one edge poisons only that edge: its C and R
-    cells stay 0, no decision is recorded, and the failure is appended
-    to the error list while the remaining edges proceed.
+    Every edge ends in exactly one of decisions and errors.  A TrustError
+    on one edge (a fusion failure, or a combiner value outside [0, 1])
+    poisons only that edge: its C and R cells stay 0, no decision is
+    recorded, and an EdgeError named after the exception class is
+    appended while the remaining edges proceed.
     """
     n = network.node_count
     t = np.zeros((n, n))
@@ -198,7 +205,7 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
             record = evaluate_request(
                 edge.required, edge.direct, edge.indirect, network.appetite_for(i), combiner
             )
-        except (InvalidVarianceError, DegeneratePosteriorError) as exc:
+        except TrustError as exc:
             errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
             continue
         if record.combined is not None:
@@ -208,36 +215,7 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     return AssessmentResult(t, a, b, c, r, decisions, errors)
 
 
-def risk_series(result: AssessmentResult, node: int) -> list[tuple[int, float]]:
-    """The node's risk toward every other node, in peer-id order.
-
-    Projects the node's row of the risk matrix, excluding itself; peers
-    without an edge contribute 0.
-    """
-    n = result.r_matrix.shape[0]
-    if not 1 <= node <= n:
-        raise ValueError(f"node {node} out of range 1..{n}")
-    return [
-        (peer, float(result.r_matrix[node - 1, peer - 1]))
-        for peer in range(1, n + 1)
-        if peer != node
-    ]
-
-
 def fifteen_node_config() -> ScenarioConfig:
     """The committed fifteen-node experiment configuration."""
     return ScenarioConfig(seed=FIFTEEN_NODE_SEED, node_count=15, edge_probability=0.3)
 
-
-__all__ = [
-    "AssessmentResult",
-    "Edge",
-    "EdgeError",
-    "FIFTEEN_NODE_SEED",
-    "Network",
-    "ScenarioConfig",
-    "fifteen_node_config",
-    "generate_network",
-    "risk_series",
-    "run_assessment",
-]

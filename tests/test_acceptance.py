@@ -10,22 +10,23 @@ import numpy as np
 import pytest
 
 from betatrust import (
-    BetaParams,
     Decision,
     TrustEstimate,
+    combined_trust,
+    fifteen_node_config,
+    generate_network,
+    run_assessment,
+)
+from betatrust.decision import risk_value
+from betatrust.documents import load_bundled_three_node
+from betatrust.fusion import (
+    BetaParams,
     beta_mean,
     beta_pdf,
     beta_variance,
-    combined_trust,
-    fifteen_node_config,
     fusion_weights,
-    generate_network,
-    load_bundled_three_node,
     moments_to_beta,
     posterior_params,
-    risk_series,
-    risk_value,
-    run_assessment,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -147,9 +148,10 @@ def test_c7_fifteen_node_run():
 
     network = generate_network(config)
     for node in range(1, 16):
-        series = risk_series(first, node)
-        assert len(series) == 14
-        for peer, risk in series:
+        peers = [peer for peer in range(1, 16) if peer != node]
+        row = first.r_matrix[node - 1, [peer - 1 for peer in peers]]
+        assert len(row) == 14
+        for peer, risk in zip(peers, row):
             if (node, peer) not in network.edges:
                 assert risk == 0.0
             if risk > 0.0:

@@ -7,9 +7,9 @@ import pytest
 from betatrust import parse_matrices
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     cmd = [sys.executable, "-m", "betatrust", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def parse_report(stdout):
@@ -48,6 +48,13 @@ class TestFuse:
         assert cp.returncode == 1
         assert "moment inversion" in cp.stderr
         assert "variance" in cp.stderr
+
+    def test_overflowing_variance_fails_with_diagnostic(self):
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.3", "--var", "1e-320")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert "moment inversion" in cp.stderr
+        assert "overflow" in cp.stderr
 
     def test_separate_variances(self):
         cp = run_cli("fuse", "--a", "0.5", "--b", "0.5",
@@ -193,32 +200,6 @@ class TestReproduceTable1:
         _, avg = parse_matrices(run_cli("reproduce-table1", "--method", "average").stdout)
         assert (beta["C"] != 0).tolist() == (avg["C"] != 0).tolist()
         assert (beta["R"] != 0).tolist() == (avg["R"] != 0).tolist()
-
-
-class TestEnvironmentVariable:
-    def test_variance_override(self):
-        import os
-
-        env = dict(os.environ, BETATRUST_VARIANCE="0.05")
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", env=env)
-        assert cp.returncode == 0, cp.stderr
-        assert float(parse_report(cp.stdout)["alpha_a"]) == pytest.approx(2.0, abs=1e-6)
-
-    def test_flag_beats_environment(self):
-        import os
-
-        env = dict(os.environ, BETATRUST_VARIANCE="0.05")
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "0.0125", env=env)
-        assert cp.returncode == 0, cp.stderr
-        # variance 0.0125 gives Beta(9.5, 9.5)
-        assert float(parse_report(cp.stdout)["alpha_a"]) == pytest.approx(9.5, abs=1e-6)
-
-    def test_bad_value_is_an_error(self):
-        import os
-
-        env = dict(os.environ, BETATRUST_VARIANCE="banana")
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", env=env)
-        assert cp.returncode == 1
 
 
 def test_usage_error_exits_one():

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from betatrust import (
-    Decision,
-    RiskAppetite,
-    TrustEstimate,
-    average_combiner,
-    evaluate_request,
-    risk_value,
-    self_record,
-)
+from betatrust import Decision, RiskAppetite, TrustEstimate, evaluate_request
+from betatrust.decision import average_combiner, risk_value
 
 # reference edge 1->3: combined and risk under variance 0.01 (50-digit script)
 COMBINED_13 = 0.6060471220991707
@@ -153,39 +146,25 @@ class TestEvaluateRequest:
             assert record.risk == 0.0
 
 
-class TestSelfRecord:
-    def test_convention_values(self):
-        record = self_record()
-        assert record.required == 0.0
-        assert record.direct.mean == 1.0
-        assert record.indirect.mean == 1.0
-        assert record.combined == 1.0
-        assert record.risk == 0.0
-        assert record.decision is Decision.ACCEPT_DIRECT
-
-    def test_no_risk_to_self(self):
-        assert self_record().risk == 0.0
-
-
-class TestUpdateRecord:
-    """Trust evolution is re-formation: an updated record is a fresh
-    evaluate_request on the record's requirement and the new estimates."""
+class TestReevaluationWithNewEstimates:
+    """Trust evolution is re-formation: a fresh evaluate_request on the
+    same requirement and the new estimates."""
 
     def test_direct_update_flips_to_accept_direct(self):
         old = evaluate_request(0.5383, TrustEstimate(0.1610), TrustEstimate(0.5953))
         assert old.decision is Decision.ACCEPT_INDIRECT
-        new = evaluate_request(old.required, TrustEstimate(0.60), old.indirect)
+        new = evaluate_request(0.5383, TrustEstimate(0.60), TrustEstimate(0.5953))
         assert new.decision is Decision.ACCEPT_DIRECT
 
     def test_idempotent_with_same_estimates(self):
         old = evaluate_request(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))
-        again = evaluate_request(old.required, old.direct, old.indirect)
+        again = evaluate_request(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))
         assert again == old
 
     def test_rerun_follows_short_circuit_order(self):
         old = evaluate_request(0.4546, TrustEstimate(0.5133), TrustEstimate(0.7578))
         assert old.decision is Decision.ACCEPT_DIRECT
-        new = evaluate_request(old.required, TrustEstimate(0.40), old.indirect)
+        new = evaluate_request(0.4546, TrustEstimate(0.40), TrustEstimate(0.7578))
         assert new.decision is Decision.ACCEPT_INDIRECT
 
 

@@ -10,17 +10,19 @@ import pytest
 from betatrust import (
     NetworkDocumentError,
     RiskAppetite,
-    document_to_network,
+    ScenarioConfig,
     generate_network,
-    load_bundled_three_node,
     load_network,
-    network_to_document,
     parse_matrices,
     render_matrices,
     render_risk_table,
     run_assessment,
     save_network,
-    ScenarioConfig,
+)
+from betatrust.documents import (
+    document_to_network,
+    load_bundled_three_node,
+    network_to_document,
 )
 
 # guards the transcription of the bundled reference network

@@ -11,18 +11,20 @@ import math
 import pytest
 
 from betatrust import (
-    BetaParams,
     DegeneratePosteriorError,
     InvalidVarianceError,
-    MEAN_EPSILON,
     RangeError,
     TrustError,
     TrustEstimate,
+    combined_trust,
+)
+from betatrust.fusion import (
+    BetaParams,
+    MEAN_EPSILON,
     beta_mean,
     beta_pdf,
     beta_variance,
     clamp_mean,
-    combined_trust,
     fusion_weights,
     moments_to_beta,
     posterior_params,
@@ -126,6 +128,13 @@ class TestMomentsToBeta:
 
     @pytest.mark.parametrize("variance", [0.25, 0.3, 1.0])
     def test_unreachable_variance(self, variance):
+        with pytest.raises(InvalidVarianceError):
+            moments_to_beta(TrustEstimate(0.5, variance))
+
+    # 0.25 / 1e-320 is inf; just below 2**-1024 = 0.25 * 2**-1022 the
+    # shapes stay finite but a posterior built from two of them overflows
+    @pytest.mark.parametrize("variance", [5e-324, 1e-320, math.nextafter(2.0**-1024, 0.0)])
+    def test_variance_whose_shapes_overflow(self, variance):
         with pytest.raises(InvalidVarianceError):
             moments_to_beta(TrustEstimate(0.5, variance))
 
@@ -237,6 +246,12 @@ class TestCombinedTrust:
     def test_propagates_invalid_variance(self):
         with pytest.raises(InvalidVarianceError):
             combined_trust(TrustEstimate(0.5, 0.3), TrustEstimate(0.5, 0.05))
+
+    def test_overflowing_posterior_rejected(self):
+        # the shapes are finite, but the posterior shape sum is inf and C 0.0
+        tight = TrustEstimate(0.5, 2e-309)
+        with pytest.raises(InvalidVarianceError):
+            combined_trust(tight, tight)
 
     def test_propagates_degenerate_posterior(self):
         # alpha = 0.05 each: the combined shapes would not be positive

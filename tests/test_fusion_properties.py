@@ -15,14 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from betatrust import (
+from betatrust import TrustError, TrustEstimate, combined_trust
+from betatrust.fusion import (
     BetaParams,
-    TrustError,
-    TrustEstimate,
     beta_mean,
     beta_pdf,
     beta_variance,
-    combined_trust,
     fusion_weights,
     moments_to_beta,
     posterior_params,
@@ -48,6 +46,17 @@ def estimate_with_shapes(alpha: float, beta: float) -> TrustEstimate:
     return TrustEstimate(alpha / total, alpha * beta / (total * total * (total + 1.0)))
 
 
+# variances log-uniform over every positive double below 1, down to
+# 2**-1074 = 5e-324
+any_variance_estimates = st.builds(
+    TrustEstimate,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(min_value=-1073, max_value=0),
+    ),
+)
 wide_shapes = st.floats(min_value=1.0, max_value=50.0, **finite)
 
 
@@ -109,6 +118,17 @@ def test_combined_trust_near_variance_bound(data):
     wide = st.builds(estimate_with_shapes, wide_shapes, wide_shapes)
     other = data.draw(st.one_of(wide, complements(near)))
     check_combined_is_posterior_mean(near, other)
+
+
+@given(any_variance_estimates, any_variance_estimates)
+def test_combined_trust_total_over_all_variances(direct, indirect):
+    """Any positive variance either raises TrustError or gives 0 < C <= 1."""
+    try:
+        combined = combined_trust(direct, indirect)
+    except TrustError:
+        return
+    assert math.isfinite(combined)
+    assert 0.0 < combined <= 1.0
 
 
 @given(trust_estimates())

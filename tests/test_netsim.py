@@ -5,13 +5,16 @@ the moment inversion, kernel-product posterior and decision chain that
 never calls into the package's fusion or decision modules, compared
 entry-for-entry against run_assessment on small networks.
 """
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from betatrust import (
-    COMBINERS,
     ConfigurationError,
     Decision,
     Edge,
@@ -21,11 +24,10 @@ from betatrust import (
     TrustEstimate,
     fifteen_node_config,
     generate_network,
-    load_bundled_three_node,
-    network_to_document,
-    risk_series,
     run_assessment,
 )
+from betatrust.decision import COMBINERS
+from betatrust.documents import load_bundled_three_node, network_to_document
 
 COMBINED_13 = 0.6060471220991707
 COMBINED_31 = 0.46050709786418943
@@ -246,6 +248,28 @@ class TestRunAssessment:
         assert result.decisions[(1, 2)] is Decision.DECLINE
         assert 0.0 < result.c_matrix[0, 1] < 1.0
 
+    def test_overflowing_variance_is_an_edge_error(self):
+        edges = {
+            (1, 2): Edge(0.9, TrustEstimate(0.5, 1e-320), TrustEstimate(0.3)),
+            (2, 1): Edge(0.3, TrustEstimate(0.7), TrustEstimate(0.2)),
+        }
+        result = run_assessment(Network(2, edges))
+        assert [(e.from_node, e.to_node, e.kind) for e in result.errors] == [
+            (1, 2, "InvalidVarianceError")
+        ]
+        assert result.decisions == {(2, 1): Decision.ACCEPT_DIRECT}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_combiner_value_outside_unit_interval_is_an_edge_error(self, value):
+        edges = {
+            (1, 2): Edge(0.9, TrustEstimate(0.5), TrustEstimate(0.3)),
+            (2, 1): Edge(0.3, TrustEstimate(0.7), TrustEstimate(0.2)),
+        }
+        result = run_assessment(Network(2, edges), combiner=lambda direct, indirect: value)
+        assert [(e.from_node, e.to_node, e.kind) for e in result.errors] == [(1, 2, "RangeError")]
+        assert result.decisions == {(2, 1): Decision.ACCEPT_DIRECT}
+        assert result.c_matrix[0, 1] == 0.0 and result.r_matrix[0, 1] == 0.0
+
     def test_appetite_of_evaluating_node_applies(self):
         edges = {(1, 2): Edge(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))}
         lenient = Network(2, edges, {1: RiskAppetite(1.0)})
@@ -289,33 +313,44 @@ class TestRunAssessment:
         assert result.decisions == decisions
 
 
-class TestRiskSeries:
-    def test_length_and_projection(self):
-        network = generate_network(fifteen_node_config())
-        result = run_assessment(network)
-        for node in range(1, 16):
-            series = risk_series(result, node)
-            assert len(series) == 14
-            assert all(peer != node for peer, _ in series)
-            for peer, risk in series:
-                assert risk == result.r_matrix[node - 1, peer - 1]
+unit = st.floats(min_value=0.0, max_value=1.0)
 
+
+@st.composite
+def small_networks(draw):
+    """Valid networks of 2 to 4 nodes with arbitrary edges and appetites."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges = {
+        pair: Edge(draw(unit), TrustEstimate(draw(unit)), TrustEstimate(draw(unit)))
+        for pair in draw(st.lists(st.sampled_from(pairs), unique=True))
+    }
+    appetites = {node: RiskAppetite(draw(unit)) for node in range(1, n + 1)}
+    return Network(n, edges, appetites)
+
+
+@given(small_networks(), st.lists(st.floats(), min_size=1))
+def test_run_assessment_is_total(network, values):
+    """Any float from the combiner, NaN and infinities included, ends one edge."""
+    outputs = itertools.cycle(values)
+    result = run_assessment(network, combiner=lambda direct, indirect: next(outputs))
+    failed = [(error.from_node, error.to_node) for error in result.errors]
+    assert len(failed) == len(set(failed))
+    assert set(failed).isdisjoint(result.decisions)
+    assert set(failed) | set(result.decisions) == set(network.edges)
+
+
+class TestRiskSeries:
     def test_zero_at_non_edges(self):
         network = generate_network(fifteen_node_config())
         result = run_assessment(network)
         for node in range(1, 16):
-            for peer, risk in risk_series(result, node):
+            for peer in range(1, 16):
+                risk = result.r_matrix[node - 1, peer - 1]
                 if (node, peer) not in network.edges:
                     assert risk == 0.0
                 if risk > 0.0:
                     assert (node, peer) in network.edges
-
-    def test_out_of_range_node(self):
-        result = run_assessment(load_bundled_three_node())
-        with pytest.raises(ValueError):
-            risk_series(result, 0)
-        with pytest.raises(ValueError):
-            risk_series(result, 4)
 
 
 class TestFifteenNodeScenario:
