@@ -1,7 +1,8 @@
 """Command-line surface: fuse, decide, simulate, reproduce-table1.
 
 Exit codes: 0 for success and accepted decisions, 2 for a declined
-decision, 1 for usage and math errors.  Diagnostics go to stderr.
+decision, 1 for usage and math errors and for a simulation in which more
+than half of the edges that reached C failed.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import documents, netsim
-from .decision import COMBINERS, RiskAppetite, evaluate_request
+from .decision import COMBINERS, Decision, RiskAppetite, evaluate_request
 from .errors import TrustError
 from .fusion import (
     DEFAULT_VARIANCE,
@@ -158,13 +159,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         documents.render_risk_table(labels, result.r_matrix), encoding="utf-8"
     )
 
+    tally = result.decision_tally()
     print(f"nodes {network.node_count}")
     print(f"edges {len(network.edges)}")
-    for name, count in result.decision_tally().items():
+    for name, count in tally.items():
         print(f"{name} {count}")
     print(f"errors {len(result.errors)}")
     print(f"wrote {matrices_path}")
     print(f"wrote {series_path}")
+    # every failed edge reached C: the A and B branches cannot fail
+    reached = len(result.errors) + sum(
+        count for name, count in tally.items() if Decision(name).reached_combined
+    )
+    if 2 * len(result.errors) > reached:
+        print(f"betatrust simulate: {len(result.errors)} of {reached} edges that reached C failed",
+              file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 

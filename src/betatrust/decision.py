@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .fusion import TrustEstimate, _check_unit_interval, combined_trust
+from .fusion import TrustEstimate, _check_unit_interval, combined_trust, combined_trust_columns
 
 # Anything turning a (direct, indirect) pair into one combined trust
 # value; combined_trust is the default, simple averaging the alternative.
@@ -131,8 +131,21 @@ def average_combiner(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     return (direct.mean + indirect.mean) / 2.0
 
 
+def average_combiner_columns(direct_mean, direct_variance, indirect_mean, indirect_variance):
+    """average_combiner over columns of estimates."""
+    return (direct_mean + indirect_mean) / 2.0
+
+
 #: Named combiners selectable from configuration and the command line.
 COMBINERS: dict[str, Combiner] = {
     "beta": combined_trust,
     "average": average_combiner,
+}
+
+#: Column forms of the named combiners: (direct mean, direct variance,
+#: indirect mean, indirect variance) arrays in, an array of combined
+#: values out, NaN where the scalar combiner raises.
+COLUMN_COMBINERS = {
+    combined_trust: combined_trust_columns,
+    average_combiner: average_combiner_columns,
 }

@@ -36,7 +36,7 @@ import numpy as np
 from .decision import RiskAppetite
 from .errors import NetworkDocumentError
 from .fusion import DEFAULT_VARIANCE, TrustEstimate
-from .netsim import Edge, Network
+from .netsim import EDGE_COLUMNS, Edge, Network
 
 SCHEMA_VERSION = 1
 MATRIX_SECTIONS = ("T", "A", "B", "C", "R")
@@ -145,18 +145,10 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
 
 def network_to_document(network: Network) -> dict[str, Any]:
     """Serialise a Network losslessly (explicit variances and appetites)."""
-    edges = []
-    for (src, dst) in sorted(network.edges):
-        edge = network.edges[(src, dst)]
-        edges.append({
-            "from": src,
-            "to": dst,
-            "required": edge.required,
-            "direct_mean": edge.direct.mean,
-            "direct_variance": edge.direct.variance,
-            "indirect_mean": edge.indirect.mean,
-            "indirect_variance": edge.indirect.variance,
-        })
+    # the document's edge fields, in the order of the columns
+    keys = ("from", "to", *EDGE_COLUMNS)
+    columns = (network.src, network.dst, *(getattr(network, name) for name in EDGE_COLUMNS))
+    edges = [dict(zip(keys, row)) for row in zip(*(column.tolist() for column in columns))]
     return {
         "schema_version": SCHEMA_VERSION,
         "nodes": list(range(1, network.node_count + 1)),
@@ -194,6 +186,11 @@ def load_bundled_three_node() -> Network:
     return document_to_network(json.loads(text))
 
 
+def _row_format(cells: int) -> str:
+    """printf template of one table row: cells values to 4 decimal places."""
+    return ",".join(["%.4f"] * cells)
+
+
 def render_matrices(
     labels: Sequence[int],
     matrices: Mapping[str, np.ndarray],
@@ -201,6 +198,7 @@ def render_matrices(
 ) -> str:
     """Render the five named matrices as the comma-separated table format."""
     n = len(labels)
+    row_format = _row_format(n)
     lines = [MATRIX_HEADER]
     lines.extend(f"# {comment}" for comment in comments)
     lines.append("labels," + ",".join(str(label) for label in labels))
@@ -209,8 +207,7 @@ def render_matrices(
         if matrix.shape != (n, n):
             raise ValueError(f"matrix {name} has shape {matrix.shape}, expected ({n}, {n})")
         lines.append(name)
-        for row in matrix:
-            lines.append(",".join(f"{value:.4f}" for value in row))
+        lines.extend(row_format % tuple(row.tolist()) for row in matrix)
     return "\n".join(lines) + "\n"
 
 
@@ -246,8 +243,8 @@ def render_risk_table(labels: Sequence[int], r_matrix: np.ndarray) -> str:
     The self column carries the diagonal convention 0.
     """
     header = "node," + ",".join(str(label) for label in labels)
+    row_format = f"%s,{_row_format(r_matrix.shape[1])}"
     lines = [header]
-    for index, label in enumerate(labels):
-        cells = ",".join(f"{value:.4f}" for value in r_matrix[index])
-        lines.append(f"{label},{cells}")
+    lines.extend(row_format % (label, *r_matrix[index].tolist())
+                 for index, label in enumerate(labels))
     return "\n".join(lines) + "\n"

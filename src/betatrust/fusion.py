@@ -39,6 +39,11 @@ W_B is negative whenever aB < 1 (a very pessimistic indirect source).
 The identity holds all the same, so negative weights are returned as-is
 rather than clipped.
 
+The inversion, posterior and mean arithmetic is written once, in
+helpers that take floats or numpy arrays alike: the scalar functions
+below call them on floats, and combined_trust_columns calls them on
+whole columns of estimates, so both give bit-identical values.
+
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
 call from any number of concurrent contexts.
@@ -47,6 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegeneratePosteriorError, InvalidVarianceError, RangeError
 
@@ -142,6 +149,27 @@ def beta_pdf(params: BetaParams, x: float) -> float:
     return math.exp(log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
 
 
+def _variance_bound(m):
+    """m * (1 - m), the supremum of the variance of a Beta with mean m."""
+    return m * (1.0 - m)
+
+
+def _invert_moments(m, bound, variance):
+    """Shapes (alpha, beta) with mean m and the variance, unchecked."""
+    alpha = m * (bound / variance - 1.0)
+    return alpha, alpha * (1.0 - m) / m
+
+
+def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
+    """Shapes of the product of two Beta kernels."""
+    return alpha_a + alpha_b - 1.0, beta_a + beta_b - 1.0
+
+
+def _shape_mean(alpha, beta):
+    """alpha / (alpha + beta), the mean of Beta(alpha, beta)."""
+    return alpha / (alpha + beta)
+
+
 def beta_mean(params: BetaParams) -> float:
     """Expected value alpha / (alpha + beta).
 
@@ -149,13 +177,42 @@ def beta_mean(params: BetaParams) -> float:
     point it rounds to 1.0 when beta is below about 2**-53 * alpha, and
     to 0.0 only on underflow.
     """
-    return params.alpha / (params.alpha + params.beta)
+    return _shape_mean(params.alpha, params.beta)
 
 
 def beta_variance(params: BetaParams) -> float:
-    """Variance alpha*beta / ((alpha+beta+1) * (alpha+beta)^2)."""
+    """Variance alpha*beta / ((alpha+beta+1) * (alpha+beta)^2).
+
+    Evaluated as (alpha/s) * (beta/s) / (s + 1) with s = alpha + beta, so
+    that it stays finite for shapes whose product would overflow.
+    """
     total = params.alpha + params.beta
-    return params.alpha * params.beta / ((total + 1.0) * total * total)
+    return (params.alpha / total) * (params.beta / total) / (total + 1.0)
+
+
+def _checked_shapes(estimate: TrustEstimate) -> tuple[float, float]:
+    m = clamp_mean(estimate.mean)
+    bound = _variance_bound(m)
+    if estimate.variance >= bound:
+        raise InvalidVarianceError(
+            f"variance {estimate.variance!r} >= mean*(1-mean) = {bound!r}: "
+            "no Beta distribution has these moments"
+        )
+    if estimate.variance < bound * 2.0**-1022:
+        raise InvalidVarianceError(
+            f"variance {estimate.variance!r} < mean*(1-mean)*2**-1022: "
+            "the Beta shapes would overflow"
+        )
+    return _invert_moments(m, bound, estimate.variance)
+
+
+def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
+    alpha, beta = _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b)
+    if alpha <= 0.0 or beta <= 0.0:
+        raise DegeneratePosteriorError(
+            f"posterior shapes ({alpha!r}, {beta!r}) are not both positive"
+        )
+    return alpha, beta
 
 
 def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
@@ -168,23 +225,9 @@ def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
     shape sum of a posterior built from them could overflow.  Both
     recovered shapes are finite and strictly positive otherwise, and
     feeding them back through beta_mean / beta_variance reproduces the
-    (clamped) input moments wherever (alpha + beta)**3 stays finite.
+    (clamped) input moments.
     """
-    m = clamp_mean(estimate.mean)
-    bound = m * (1.0 - m)
-    if estimate.variance >= bound:
-        raise InvalidVarianceError(
-            f"variance {estimate.variance!r} >= mean*(1-mean) = {bound!r}: "
-            "no Beta distribution has these moments"
-        )
-    if estimate.variance < bound * 2.0**-1022:
-        raise InvalidVarianceError(
-            f"variance {estimate.variance!r} < mean*(1-mean)*2**-1022: "
-            "the Beta shapes would overflow"
-        )
-    alpha = m * (bound / estimate.variance - 1.0)
-    beta = alpha * (1.0 - m) / m
-    return BetaParams(alpha, beta)
+    return BetaParams(*_checked_shapes(estimate))
 
 
 def posterior_params(prior: BetaParams, likelihood: BetaParams) -> BetaParams:
@@ -194,30 +237,24 @@ def posterior_params(prior: BetaParams, likelihood: BetaParams) -> BetaParams:
     non-positive (the evidence is too diffuse to yield a proper
     posterior).
     """
-    alpha = prior.alpha + likelihood.alpha - 1.0
-    beta = prior.beta + likelihood.beta - 1.0
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DegeneratePosteriorError(
-            f"posterior shapes ({alpha!r}, {beta!r}) are not both positive"
-        )
-    return BetaParams(alpha, beta)
+    return BetaParams(
+        *_checked_posterior(prior.alpha, prior.beta, likelihood.alpha, likelihood.beta)
+    )
 
 
 def fusion_weights(params_a: BetaParams, params_b: BetaParams) -> FusionWeights:
     """Weights turning the two source means into the posterior mean.
 
     Satisfies w_a * mean_a + w_b * mean_b == (aA + aB - 1) / k exactly
-    (up to floating point) for every valid shape pair.
+    (up to floating point) for every valid shape pair.  w_b is evaluated
+    as (aB + bB) / k * (1 - 1/aB), which stays finite for shapes whose
+    product would overflow.
     """
     k = params_a.alpha + params_a.beta + params_b.alpha + params_b.beta - 2.0
     if k <= 0.0:
         raise DegeneratePosteriorError(f"normaliser k = {k!r} is not positive")
     w_a = (params_a.alpha + params_a.beta) / k
-    w_b = (
-        (params_b.alpha + params_b.beta)
-        * (params_b.alpha - 1.0)
-        / (params_b.alpha * k)
-    )
+    w_b = (params_b.alpha + params_b.beta) / k * (1.0 - 1.0 / params_b.alpha)
     return FusionWeights(w_a=w_a, w_b=w_b, k=k)
 
 
@@ -234,4 +271,32 @@ def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     Propagates InvalidVarianceError from the moment inversion and
     DegeneratePosteriorError when the combination is degenerate.
     """
-    return beta_mean(posterior_params(moments_to_beta(direct), moments_to_beta(indirect)))
+    alpha_a, beta_a = _checked_shapes(direct)
+    alpha_b, beta_b = _checked_shapes(indirect)
+    return _shape_mean(*_checked_posterior(alpha_a, beta_a, alpha_b, beta_b))
+
+
+def combined_trust_columns(
+    direct_mean: np.ndarray,
+    direct_variance: np.ndarray,
+    indirect_mean: np.ndarray,
+    indirect_variance: np.ndarray,
+) -> np.ndarray:
+    """combined_trust over columns of estimates, NaN where it would raise.
+
+    Each entry is bit-identical to combined_trust on the same estimate
+    pair; an entry is NaN exactly where combined_trust raises, so the
+    caller recovers the error by calling it on that pair alone.
+    """
+    with np.errstate(all="ignore"):
+        valid = np.ones(direct_mean.shape, dtype=bool)
+        shapes = []
+        for mean, variance in ((direct_mean, direct_variance),
+                               (indirect_mean, indirect_variance)):
+            m = np.minimum(np.maximum(mean, MEAN_EPSILON), 1.0 - MEAN_EPSILON)
+            bound = _variance_bound(m)
+            valid &= (variance < bound) & (variance >= bound * 2.0**-1022)
+            shapes.extend(_invert_moments(m, bound, variance))
+        alpha, beta = _posterior_shapes(*shapes)
+        valid &= (alpha > 0.0) & (beta > 0.0)
+        return np.where(valid, _shape_mean(alpha, beta), np.nan)

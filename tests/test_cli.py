@@ -1,4 +1,5 @@
 """End-to-end CLI tests, run through ``python -m betatrust``."""
+import hashlib
 import subprocess
 import sys
 
@@ -55,6 +56,15 @@ class TestFuse:
         assert cp.stdout == ""
         assert "moment inversion" in cp.stderr
         assert "overflow" in cp.stderr
+
+    def test_tiny_variance_gives_finite_weights(self):
+        # the shapes are about 1.25e299, so aB * k overflowed in the weight w_b
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "1e-300")
+        assert cp.returncode == 0, cp.stderr
+        report = parse_report(cp.stdout)
+        assert report["w_a"] == "0.500000"
+        assert report["w_b"] == "0.500000"
+        assert report["combined"] == "0.500000"
 
     def test_separate_variances(self):
         cp = run_cli("fuse", "--a", "0.5", "--b", "0.5",
@@ -176,6 +186,60 @@ class TestSimulate:
     def test_nodes_required_without_fixture_flag(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1
+
+    def test_most_fused_edges_failing_exits_one(self, tmp_path):
+        out = tmp_path / "fail"
+        cp = run_cli("simulate", "--nodes", "20", "--seed", "3", "--var", "1e308",
+                     "--out", str(out))
+        assert cp.returncode == 1
+        report = parse_report(cp.stdout)
+        assert report["errors"] == "39"
+        assert [report[name] for name in ("AcceptCombined", "AcceptWithRisk", "Decline")] == [
+            "0", "0", "0"]
+        lines = cp.stderr.splitlines()
+        assert len(lines) == 40
+        assert all(line.startswith("edge ") for line in lines[:-1])
+        assert lines[-1] == "betatrust simulate: 39 of 39 edges that reached C failed"
+        # the files are still written
+        labels, _ = parse_matrices((out / "matrices.csv").read_text())
+        assert labels == list(range(1, 21))
+        assert (out / "risk_series.csv").read_text().startswith("node,1,2,")
+
+
+# simulate --nodes 60 --edge-prob 0.5 --seed 11 --var 0.05 --appetite 0.1: p < 1, all
+# five decisions and both fusion error kinds.  SHA-256 of matrices.csv, risk_series.csv
+# and stderr, and the stdout tally, recorded from the per-edge object implementation.
+GOLDEN_ARGS = ("--nodes", "60", "--edge-prob", "0.5", "--seed", "11", "--var", "0.05",
+               "--appetite", "0.1")
+GOLDEN = {
+    "beta": (
+        "4e9e17f468fa430fb412b87cb1f4fa03055de32cfb392f1672419da5bb6f3cbd",
+        "901a301fb18e415b3340cf96b384ae5f76c3b8f332943af55e068c6864a65371",
+        "df60a7919c9777b5063d87680f6d079812336a9f3550b969a5a1f5c132c58508",
+        {"AcceptDirect": "897", "AcceptIndirect": "284", "AcceptCombined": "10",
+         "AcceptWithRisk": "21", "Decline": "378", "errors": "184"},
+    ),
+    "average": (
+        "eabc0159bb6bed0a03002522787e5b56adbf56722816fa79a1bd8c7317073f37",
+        "e9cdeaf2562e1dca953afc471e3101a8de830925966ebf28e6beaa060cfd0813",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"AcceptDirect": "897", "AcceptIndirect": "284", "AcceptCombined": "0",
+         "AcceptWithRisk": "27", "Decline": "566", "errors": "0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, method):
+    cp = run_cli("simulate", *GOLDEN_ARGS, "--method", method, "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    matrices, series, stderr, tally = GOLDEN[method]
+    assert hashlib.sha256((tmp_path / "matrices.csv").read_bytes()).hexdigest() == matrices
+    assert hashlib.sha256((tmp_path / "risk_series.csv").read_bytes()).hexdigest() == series
+    assert hashlib.sha256(cp.stderr.encode()).hexdigest() == stderr
+    report = parse_report(cp.stdout)
+    assert report["edges"] == "1774"
+    assert {key: report[key] for key in tally} == tally
 
 
 class TestReproduceTable1:

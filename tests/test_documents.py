@@ -248,3 +248,21 @@ class TestMatrixTable:
         assert first[0] == "1"
         assert first[1] == "0.0000"  # self cell carries the diagonal convention
         assert first[3] == "0.1088"  # risk of edge 1->3 to 4 decimals
+
+    def test_rendering_matches_the_format_spec_per_value(self):
+        # ties at the fourth decimal, signed zero, tiny and large values
+        rng = np.random.default_rng(5)
+        specials = [0.0, -0.0, 0.00005, 0.00015, 0.12345, 0.99995, 1.0, 5e-324, 1e-300,
+                    12345.678, -0.25, 0.1234499999999999, math.pi]
+        values = np.concatenate((specials, rng.random(12 * 12 * 5 - len(specials))))
+        matrices = dict(zip("TABCR", rng.permutation(values).reshape(5, 12, 12)))
+        labels = list(range(1, 13))
+        expected = ["# trust matrices v1", "labels," + ",".join(map(str, labels))]
+        for name in "TABCR":
+            expected.append(name)
+            expected.extend(",".join(f"{v:.4f}" for v in row) for row in matrices[name])
+        assert render_matrices(labels, matrices) == "\n".join(expected) + "\n"
+        risk = ["node," + ",".join(map(str, labels))]
+        risk.extend(f"{label}," + ",".join(f"{v:.4f}" for v in row)
+                    for label, row in zip(labels, matrices["R"]))
+        assert render_risk_table(labels, matrices["R"]) == "\n".join(risk) + "\n"

@@ -8,6 +8,7 @@ posterior-mean identity, or the exact closed form).
 """
 import math
 
+import numpy as np
 import pytest
 
 from betatrust import (
@@ -25,6 +26,7 @@ from betatrust.fusion import (
     beta_pdf,
     beta_variance,
     clamp_mean,
+    combined_trust_columns,
     fusion_weights,
     moments_to_beta,
     posterior_params,
@@ -138,6 +140,11 @@ class TestMomentsToBeta:
         with pytest.raises(InvalidVarianceError):
             moments_to_beta(TrustEstimate(0.5, variance))
 
+    def test_tiny_variance_round_trips(self):
+        # shapes about 1.25e299: alpha * beta overflowed in the variance
+        params = moments_to_beta(TrustEstimate(0.5, 1e-300))
+        assert beta_variance(params) == pytest.approx(1e-300, rel=1e-12)
+
     def test_nonpositive_variance_rejected_at_construction(self):
         with pytest.raises(InvalidVarianceError):
             TrustEstimate(0.5, 0.0)
@@ -208,6 +215,16 @@ class TestFusionWeights:
         assert weights.w_b == pytest.approx(W_B_13, rel=1e-12)
         assert weights.w_b < 0.0
 
+    @pytest.mark.parametrize("means", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.05)])
+    def test_finite_for_huge_shapes(self, means):
+        # shapes up to about 2e301: (aB + bB) * (aB - 1) overflowed in w_b
+        params_a, params_b = (moments_to_beta(TrustEstimate(m, 1e-300)) for m in means)
+        weights = fusion_weights(params_a, params_b)
+        assert math.isfinite(weights.w_a) and math.isfinite(weights.w_b)
+        lhs = weights.w_a * beta_mean(params_a) + weights.w_b * beta_mean(params_b)
+        expected = combined_trust(*(TrustEstimate(m, 1e-300) for m in means))
+        assert lhs == pytest.approx(expected, rel=1e-12)
+
     def test_degenerate_k(self):
         with pytest.raises(DegeneratePosteriorError):
             fusion_weights(BetaParams(0.4, 0.4), BetaParams(0.5, 0.5))
@@ -272,6 +289,36 @@ class TestCombinedTrust:
         a = TrustEstimate(0.3141592653589793, 0.0123456789)
         b = TrustEstimate(0.2718281828459045, 0.0098765432)
         assert combined_trust(a, b) == combined_trust(a, b)
+
+
+def test_combined_trust_columns_match_scalar():
+    """Bit-identical to combined_trust, and NaN exactly where it raises."""
+    rng = np.random.default_rng(12)
+    means = np.concatenate(([0.0, 1.0, 1e-6, 0.5], rng.random(400)))
+    estimates = []
+    for mean in means.tolist():
+        m = clamp_mean(mean)
+        bound = m * (1.0 - m)
+        for variance in (bound, math.nextafter(bound, 0.0), bound / 3.0, 0.01,
+                         bound * 2.0**-1022, math.nextafter(bound * 2.0**-1022, 0.0)):
+            if variance > 0.0:
+                estimates.append(TrustEstimate(mean, variance))
+    direct = [estimates[k] for k in rng.integers(len(estimates), size=5000)]
+    indirect = [estimates[k] for k in rng.integers(len(estimates), size=5000)]
+    columns = combined_trust_columns(*(
+        np.array([getattr(e, field) for e in side])
+        for side in (direct, indirect) for field in ("mean", "variance")
+    ))
+    failures = 0
+    for d, i, value in zip(direct, indirect, columns.tolist()):
+        try:
+            expected = combined_trust(d, i)
+        except TrustError:
+            failures += 1
+            assert math.isnan(value)
+        else:
+            assert value == expected
+    assert 0 < failures < len(direct)
 
 
 def test_clamp_mean_bounds():

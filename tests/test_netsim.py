@@ -8,26 +8,34 @@ entry-for-entry against run_assessment on small networks.
 import itertools
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betatrust import (
     ConfigurationError,
     Decision,
     Edge,
+    InvalidVarianceError,
     Network,
+    RangeError,
     RiskAppetite,
     ScenarioConfig,
+    TrustError,
     TrustEstimate,
+    combined_trust,
+    evaluate_request,
     fifteen_node_config,
     generate_network,
     run_assessment,
 )
-from betatrust.decision import COMBINERS
+from betatrust import netsim
+from betatrust.decision import COMBINERS, average_combiner
 from betatrust.documents import load_bundled_three_node, network_to_document
+from betatrust.fusion import MEAN_EPSILON, clamp_mean
 
 COMBINED_13 = 0.6060471220991707
 COMBINED_31 = 0.46050709786418943
@@ -131,6 +139,121 @@ class TestGenerateNetwork:
         assert edge.direct.variance == 0.004
         assert edge.indirect.variance == 0.008
         assert network.appetites[3] == RiskAppetite(0.2)
+
+
+def generate_v1(config):
+    """Draw order v1, one scalar rng.random() call per value."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    nodes = range(1, config.node_count + 1)
+    edges = {}
+    for i in nodes:
+        for j in nodes:
+            if i == j or rng.random() >= config.edge_probability:
+                continue
+            edges[(i, j)] = Edge(
+                rng.random(),
+                TrustEstimate(rng.random(), config.variance_direct),
+                TrustEstimate(rng.random(), config.variance_indirect),
+            )
+    appetites = {node: RiskAppetite(config.max_acceptable_risk) for node in nodes}
+    return Network(config.node_count, edges, appetites)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 17, netsim.DRAW_CHUNK])
+def test_generation_follows_draw_order_v1(monkeypatch, chunk):
+    # small chunks cut edge records at every possible offset
+    monkeypatch.setattr(netsim, "DRAW_CHUNK", chunk)
+    for seed, nodes, probability in [(0, 2, 0.5), (3, 7, 0.0), (5, 7, 1.0), (11, 12, 0.3),
+                                     (196, 15, 0.3), (8, 9, 0.95)]:
+        config = ScenarioConfig(seed=seed, node_count=nodes, edge_probability=probability,
+                                variance_direct=0.02, max_acceptable_risk=0.1)
+        assert generate_network(config) == generate_v1(config)
+
+
+class TestColumns:
+    def network(self):
+        return generate_network(ScenarioConfig(seed=4, node_count=5, edge_probability=0.6))
+
+    def columns(self, network):
+        floats = [getattr(network, name) for name in netsim.EDGE_COLUMNS]
+        return [network.src, network.dst, *floats]
+
+    def test_mapping_and_column_forms_agree(self):
+        network = self.network()
+        assert Network(5, dict(network.edges), network.appetites) == network
+        order = np.arange(len(network.src))[::-1]
+        reversed_columns = [column[order] for column in self.columns(network)]
+        assert Network.from_columns(5, *reversed_columns, network.max_risk) == network
+
+    def test_columns_are_row_major_and_read_only(self):
+        network = self.network()
+        cells = (network.src - 1) * 5 + network.dst - 1
+        assert np.all(np.diff(cells) > 0)
+        for column in (*self.columns(network), network.max_risk):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+    def test_caller_arrays_stay_writable(self):
+        src, dst = np.array([2, 1]), np.array([1, 2])
+        required = np.array([0.5, 0.25])
+        Network.from_columns(2, src, dst, required, required, required + 0.1, required,
+                             required + 0.1, np.zeros(2))
+        required[0] = 0.75
+        assert src.flags.writeable
+
+    def test_duplicate_edge_rejected(self):
+        ones = np.full(2, 0.5)
+        with pytest.raises(ConfigurationError, match=r"duplicate edge \(1, 2\)"):
+            Network.from_columns(2, [1, 1], [2, 2], ones, ones, ones, ones, ones, np.zeros(2))
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"src": 2}, ConfigurationError, "self-edge (2, 2) is not allowed"),
+        ({"dst": 4}, ConfigurationError, "edge (1, 4) endpoint out of range 1..3"),
+        ({"required": 1.5}, RangeError, "required must lie in [0, 1], got 1.5"),
+        ({"direct_mean": -0.5}, RangeError, "mean must lie in [0, 1], got -0.5"),
+        ({"indirect_variance": 0.0}, InvalidVarianceError, "variance must be positive, got 0.0"),
+        ({"max_risk": 2.0}, RangeError, "max_acceptable_risk must lie in [0, 1], got 2.0"),
+    ])
+    def test_column_errors_match_the_edge_constructors(self, change, error, message):
+        fields = {"src": 1, "dst": 2, "required": 0.5, "direct_mean": 0.4,
+                  "direct_variance": 0.01, "indirect_mean": 0.3, "indirect_variance": 0.01,
+                  "max_risk": 0.0, **change}
+        with pytest.raises(error) as info:
+            Network.from_columns(
+                3, [1, fields["src"]], [3, fields["dst"]],
+                *([0.5, fields[name]] for name in netsim.EDGE_COLUMNS),
+                [0.0, fields["max_risk"], 0.0],
+            )
+        assert str(info.value) == message
+
+    def test_edges_view(self):
+        network = self.network()
+        edges = network.edges
+        assert isinstance(edges, Mapping)
+        assert list(edges) == sorted(edges) == list(zip(network.src.tolist(),
+                                                        network.dst.tolist()))
+        assert len(edges) == len(network.src)
+        i, j = next(iter(edges))
+        k = 0
+        assert edges[(i, j)] == Edge(
+            float(network.required[k]),
+            TrustEstimate(float(network.direct_mean[k]), float(network.direct_variance[k])),
+            TrustEstimate(float(network.indirect_mean[k]), float(network.indirect_variance[k])),
+        )
+        absent = next((a, b) for a in range(1, 6) for b in range(1, 6)
+                      if a != b and (a, b) not in edges)
+        for key in (absent, (1, 1), (0, 2), (2, 6), (1,), "12", None):
+            assert key not in edges
+            with pytest.raises(KeyError):
+                edges[key]
+        with pytest.raises(TypeError):
+            edges[(i, j)] = edges[(i, j)]
+
+    def test_appetite_for_unknown_node(self):
+        network = self.network()
+        for node in (0, 6):
+            with pytest.raises(KeyError):
+                network.appetite_for(node)
 
 
 class TestNetworkValidation:
@@ -338,6 +461,100 @@ def test_run_assessment_is_total(network, values):
     assert len(failed) == len(set(failed))
     assert set(failed).isdisjoint(result.decisions)
     assert set(failed) | set(result.decisions) == set(network.edges)
+
+
+def custom_combiner(direct, indirect):
+    """A scalar combiner without a column form; it leaves [0, 1] at both ends."""
+    return 1.5 * combined_trust(direct, indirect) - 0.25
+
+
+# Means at the clamp and the ends of [0, 1], and variances at the two bounds
+# m(1 - m) and m(1 - m) * 2**-1022 of the clamped mean, one ulp either side.
+CLAMP = MEAN_EPSILON
+boundary_means = st.one_of(
+    st.sampled_from([0.0, 1.0, CLAMP, math.nextafter(CLAMP, 0.0), math.nextafter(CLAMP, 1.0),
+                     1.0 - CLAMP, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def boundary_estimates(draw, mean):
+    m = clamp_mean(mean)
+    bound = m * (1.0 - m)
+    floor = bound * 2.0**-1022
+    variance = draw(st.one_of(
+        st.sampled_from([bound, math.nextafter(bound, 0.0), math.nextafter(bound, 1.0),
+                         floor, math.nextafter(floor, 0.0), math.nextafter(floor, 1.0),
+                         0.01]),
+        st.floats(min_value=1e-12, max_value=0.3),
+    ))
+    return TrustEstimate(mean, variance)
+
+
+@st.composite
+def boundary_edges(draw):
+    # high requirements and low means, so that many edges reach C; ties
+    # T == A and T == B decide the short circuit
+    required = draw(st.one_of(boundary_means, st.floats(min_value=0.5, max_value=1.0)))
+    means = st.one_of(st.just(required), boundary_means, st.floats(min_value=0.0, max_value=0.6))
+    direct_mean, indirect_mean = draw(means), draw(means)
+    return Edge(required, draw(boundary_estimates(direct_mean)),
+                draw(boundary_estimates(indirect_mean)))
+
+
+@st.composite
+def boundary_networks(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges = {pair: draw(boundary_edges())
+             for pair in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))}
+    appetites = {node: RiskAppetite(draw(st.one_of(st.sampled_from([0.0, 1.0]), unit)))
+                 for node in range(1, n + 1)}
+    return Network(n, edges, appetites)
+
+
+def per_edge_outcomes(network, combiner):
+    """{(i, j): (decision or (error kind, message), C, R)} from evaluate_request alone."""
+    outcomes = {}
+    for (i, j), edge in sorted(network.edges.items()):
+        try:
+            record = evaluate_request(edge.required, edge.direct, edge.indirect,
+                                      network.appetite_for(i), combiner)
+        except TrustError as exc:
+            outcomes[(i, j)] = ((type(exc).__name__, str(exc)), 0.0, 0.0)
+        else:
+            combined = 0.0 if record.combined is None else float(record.combined)
+            outcomes[(i, j)] = (record.decision, combined, float(record.risk))
+    return outcomes
+
+
+def with_risk_at_appetite(network, combiner):
+    """The network with each node's appetite set to the risk of its first risky edge."""
+    appetites = {}
+    for (i, _), (outcome, _, risk) in per_edge_outcomes(network, combiner).items():
+        if isinstance(outcome, Decision) and risk > 0.0:
+            appetites.setdefault(i, RiskAppetite(risk))
+    return Network(network.node_count, dict(network.edges), {**network.appetites, **appetites})
+
+
+@pytest.mark.parametrize("combiner", [combined_trust, average_combiner, custom_combiner])
+@settings(max_examples=150, deadline=None)
+@given(network=boundary_networks(), tie=st.booleans())
+def test_columns_match_per_edge_evaluation(combiner, network, tie):
+    """Outcomes, messages, and bit-identical C and R, against evaluate_request per edge."""
+    if tie:
+        network = with_risk_at_appetite(network, combiner)
+    expected = per_edge_outcomes(network, combiner)
+    result = run_assessment(network, combiner)
+    errors = {(e.from_node, e.to_node): (e.kind, e.message) for e in result.errors}
+    assert [key for key, (o, _, _) in expected.items() if not isinstance(o, Decision)] == [
+        (e.from_node, e.to_node) for e in result.errors]
+    for (i, j), (outcome, combined, risk) in expected.items():
+        assert result.decisions.get((i, j), errors.get((i, j))) == outcome
+        assert float(result.c_matrix[i - 1, j - 1]).hex() == combined.hex()
+        assert float(result.r_matrix[i - 1, j - 1]).hex() == risk.hex()
+    assert sum(result.decision_tally().values()) == len(result.decisions)
 
 
 class TestRiskSeries:
