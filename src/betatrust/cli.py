@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--appetite", type=float, default=0.0,
                         help="maximum acceptable risk (default 0)")
 
-    simulate = sub.add_parser("simulate", help="assess a random or bundled network")
-    simulate.add_argument("--nodes", type=int, default=None, help="node count")
+    simulate = sub.add_parser("simulate", help="assess a seeded random network")
+    simulate.add_argument("--nodes", type=int, required=True, help="node count")
     simulate.add_argument("--seed", type=int, default=0, help="scenario seed")
     simulate.add_argument("--edge-prob", type=float, default=0.3,
                           help="edge probability (default 0.3)")
@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-node maximum acceptable risk (default 0)")
     simulate.add_argument("--method", choices=sorted(COMBINERS), default="beta",
                           help="combiner for the C step (default beta)")
-    simulate.add_argument("--table1", action="store_true",
-                          help="use the bundled three-node reference network")
     simulate.add_argument("--out", type=Path, required=True, help="output directory")
 
     reproduce = sub.add_parser(
@@ -124,22 +122,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.table1:
-        if args.nodes is not None and args.nodes != 3:
-            raise TrustError("--table1 is a three-node scenario; omit --nodes or pass 3")
-        network = documents.load_bundled_three_node()
-    else:
-        if args.nodes is None:
-            raise TrustError("--nodes is required unless --table1 is given")
-        config = netsim.ScenarioConfig(
-            seed=args.seed,
-            node_count=args.nodes,
-            edge_probability=args.edge_prob,
-            variance_direct=args.var,
-            variance_indirect=args.var,
-            max_acceptable_risk=args.appetite,
-        )
-        network = netsim.generate_network(config)
+    config = netsim.ScenarioConfig(
+        seed=args.seed,
+        node_count=args.nodes,
+        edge_probability=args.edge_prob,
+        variance_direct=args.var,
+        variance_indirect=args.var,
+        max_acceptable_risk=args.appetite,
+    )
+    network = netsim.generate_network(config)
 
     result = netsim.run_assessment(network, COMBINERS[args.method])
     for error in result.errors:
@@ -161,7 +152,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     tally = result.decision_tally()
     print(f"nodes {network.node_count}")
-    print(f"edges {len(network.edges)}")
+    print(f"edges {len(network.src)}")
     for name, count in tally.items():
         print(f"{name} {count}")
     print(f"errors {len(result.errors)}")
@@ -208,10 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except TrustError as exc:
-        print(f"betatrust {args.command}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (TrustError, OSError) as exc:
         print(f"betatrust {args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

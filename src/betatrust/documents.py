@@ -17,7 +17,9 @@ Network document (JSON, schema_version 1):
 Node ids must be the consecutive integers 1..n.  Per-edge variances and
 the appetites map are optional and fall back to the document defaults,
 which themselves fall back to the package defaults (variance 0.01,
-appetite 0).  Validation errors name the offending field path.
+appetite 0).  The loader reads the edges into Network's columns in one
+pass.  Validation errors name the offending field path; Network rejects
+a self-edge or a duplicate edge, reported at the path "edges".
 
 Matrix table (comma-separated text, diff-friendly): a labels line, then
 the five sections T, A, B, C, R, each one name line followed by n rows
@@ -33,10 +35,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .decision import RiskAppetite
-from .errors import NetworkDocumentError
-from .fusion import DEFAULT_VARIANCE, TrustEstimate
-from .netsim import EDGE_COLUMNS, Edge, Network
+from .errors import ConfigurationError, NetworkDocumentError
+from .fusion import DEFAULT_VARIANCE
+from .netsim import EDGE_COLUMNS, Network
 
 SCHEMA_VERSION = 1
 MATRIX_SECTIONS = ("T", "A", "B", "C", "R")
@@ -51,31 +52,33 @@ def _require(condition: bool, message: str, where: str) -> None:
         raise NetworkDocumentError(message, where)
 
 
+# The per-field helpers run for every edge field: they format a message only on failure.
+
 def _as_number(value: Any, name: str, where: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"field {name!r} must be a number, got {value!r}", where)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise NetworkDocumentError(f"field {name!r} must be a number, got {value!r}", where)
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    _require(math.isfinite(number), f"field {name!r} must be finite, got {value!r}", where)
+    if not math.isfinite(number):
+        raise NetworkDocumentError(f"field {name!r} must be finite, got {value!r}", where)
     return number
-
-
-def _get_number(obj: Mapping[str, Any], key: str, where: str) -> float:
-    _require(key in obj, f"missing field {key!r}", where)
-    return _as_number(obj[key], key, where)
 
 
 def _get_variance(obj: Mapping[str, Any], key: str, default: float, where: str) -> float:
     value = _as_number(obj.get(key, default), key, where)
-    _require(value > 0.0, f"field {key!r} must be positive, got {value!r}", where)
+    if not value > 0.0:
+        raise NetworkDocumentError(f"field {key!r} must be positive, got {value!r}", where)
     return value
 
 
 def _get_unit(obj: Mapping[str, Any], key: str, where: str) -> float:
-    value = _get_number(obj, key, where)
-    _require(0.0 <= value <= 1.0, f"field {key!r} must lie in [0, 1], got {value!r}", where)
+    if key not in obj:
+        raise NetworkDocumentError(f"missing field {key!r}", where)
+    value = _as_number(obj[key], key, where)
+    if not 0.0 <= value <= 1.0:
+        raise NetworkDocumentError(f"field {key!r} must lie in [0, 1], got {value!r}", where)
     return value
 
 
@@ -106,41 +109,41 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
     appetites_doc = doc.get("appetites", {})
     _require(isinstance(appetites_doc, dict), "field 'appetites' must be an object", "appetites")
     node_ids = {str(node): node for node in range(1, node_count + 1)}
-    appetites = {node: RiskAppetite(default_appetite) for node in node_ids.values()}
+    max_risk = [default_appetite] * node_count
     for key, value in appetites_doc.items():
         where = f"appetites.{key}"
         _require(key in node_ids, f"appetite key {key!r} is not a node id 1..{node_count}",
                  where)
         appetite = _as_number(value, "appetite", where)
         _require(0.0 <= appetite <= 1.0, f"appetite must lie in [0, 1], got {value!r}", where)
-        appetites[node_ids[key]] = RiskAppetite(appetite)
+        max_risk[node_ids[key] - 1] = appetite
 
     edges_doc = doc.get("edges")
     _require(isinstance(edges_doc, list), "field 'edges' must be a list", "edges")
-    edges: dict[tuple[int, int], Edge] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    required, direct_mean, direct_var, indirect_mean, indirect_var = [], [], [], [], []
     for index, entry in enumerate(edges_doc):
         where = f"edges[{index}]"
         _require(isinstance(entry, dict), "edge must be an object", where)
-        src = entry.get("from")
-        dst = entry.get("to")
-        for name, value in (("from", src), ("to", dst)):
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"field {name!r} must be an integer node id", where)
-            _require(1 <= value <= node_count,
-                     f"field {name!r} references unknown node {value}", where)
-        _require(src != dst, f"self-edge ({src}, {dst}) is not allowed", where)
-        _require((src, dst) not in edges, f"duplicate edge ({src}, {dst})", where)
-        required = _get_unit(entry, "required", where)
-        direct_mean = _get_unit(entry, "direct_mean", where)
-        indirect_mean = _get_unit(entry, "indirect_mean", where)
-        direct_var = _get_variance(entry, "direct_variance", default_variance, where)
-        indirect_var = _get_variance(entry, "indirect_variance", default_variance, where)
-        edges[(src, dst)] = Edge(
-            required=required,
-            direct=TrustEstimate(direct_mean, direct_var),
-            indirect=TrustEstimate(indirect_mean, indirect_var),
-        )
-    return Network(node_count, edges, appetites)
+        for name, end in (("from", src), ("to", dst)):
+            value = entry.get(name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise NetworkDocumentError(f"field {name!r} must be an integer node id", where)
+            if not 1 <= value <= node_count:
+                raise NetworkDocumentError(
+                    f"field {name!r} references unknown node {value}", where)
+            end.append(value)
+        required.append(_get_unit(entry, "required", where))
+        direct_mean.append(_get_unit(entry, "direct_mean", where))
+        indirect_mean.append(_get_unit(entry, "indirect_mean", where))
+        direct_var.append(_get_variance(entry, "direct_variance", default_variance, where))
+        indirect_var.append(_get_variance(entry, "indirect_variance", default_variance, where))
+    try:
+        return Network(node_count, src, dst, required, direct_mean, direct_var,
+                       indirect_mean, indirect_var, max_risk)
+    except ConfigurationError as exc:  # a self-edge or a duplicate edge
+        raise NetworkDocumentError(str(exc), "edges") from exc
 
 
 def network_to_document(network: Network) -> dict[str, Any]:
@@ -153,10 +156,7 @@ def network_to_document(network: Network) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "nodes": list(range(1, network.node_count + 1)),
         "defaults": {"variance": DEFAULT_VARIANCE, "max_acceptable_risk": 0.0},
-        "appetites": {
-            str(node): appetite.max_acceptable_risk
-            for node, appetite in sorted(network.appetites.items())
-        },
+        "appetites": {str(node): risk for node, risk in enumerate(network.max_risk.tolist(), 1)},
         "edges": edges,
     }
 

@@ -6,12 +6,13 @@ blindly trusts itself, which shows up only as the diagonal of the result
 matrices (1 for A, B, C and 0 for T, R) and never enters a calculation.
 
 A Network is a columnar edge table: one numpy array per edge field, in
-row-major (i, j) order, plus one appetite per node.  Edges are evaluated
-independently of each other, so run_assessment decides all of them with
-array expressions over those columns.  The scalar evaluate_request runs
-only on the edges whose fusion fails, to name the error, and on every
-edge that reaches C when the caller passes a combiner that has no
-column form.
+row-major (i, j) order, plus one appetite per node.  Its one constructor
+takes those columns; generate_network and the document loader fill them
+without making an Edge.  Edges are evaluated independently of each
+other, so run_assessment decides all of them with array expressions
+over those columns.  The scalar evaluate_request runs only on the edges
+whose fusion fails, to name the error, and on every edge that reaches C
+when the caller passes a combiner that has no column form.
 """
 from __future__ import annotations
 
@@ -83,44 +84,18 @@ class Network:
     """Directed graph of nodes with per-edge trust data and per-node appetite.
 
     The edges are held as read-only columns, one entry per edge in
-    row-major (src, dst) order: src and dst (node ids), the float columns
-    named in EDGE_COLUMNS, and cell, the flat index (src - 1) * node_count
-    + dst - 1 of the edge's cell in an n x n matrix.  max_risk holds the
-    appetite of node i at index i - 1.
+    row-major (src, dst) order: src and dst (integer node ids), the float
+    columns named in EDGE_COLUMNS, and cell, the flat index (src - 1) *
+    node_count + dst - 1 of the edge's cell in an n x n matrix.  max_risk
+    holds the appetite of node i at index i - 1.
 
-    Network(node_count, edges, appetites) builds one from a {(i, j): Edge}
-    mapping and a {node: RiskAppetite} mapping, in which nodes not
-    supplied get the conservative default appetite 0;
-    Network.from_columns builds one from arrays.  edges and appetites
-    give the same data back as mappings.
+    The constructor takes the columns in any edge order, validates them as
+    Edge and RiskAppetite validate one value, and stores copies, so the
+    caller's arrays stay writable.  edges reads them back as a mapping.
     """
 
     def __init__(
         self,
-        node_count: int,
-        edges: Mapping[tuple[int, int], Edge],
-        appetites: Mapping[int, RiskAppetite] | None = None,
-    ) -> None:
-        keys = list(edges)
-        values = [edges[key] for key in keys]
-        columns = [
-            [edge.required for edge in values],
-            [edge.direct.mean for edge in values],
-            [edge.direct.variance for edge in values],
-            [edge.indirect.mean for edge in values],
-            [edge.indirect.variance for edge in values],
-        ]
-        ids = range(1, node_count + 1)
-        max_risk = np.zeros(len(ids))
-        for node, appetite in (appetites or {}).items():
-            if node not in ids:
-                raise ConfigurationError(f"appetite for unknown node {node}")
-            max_risk[node - 1] = appetite.max_acceptable_risk
-        self._store(node_count, [i for i, _ in keys], [j for _, j in keys], columns, max_risk)
-
-    @classmethod
-    def from_columns(
-        cls,
         node_count: int,
         src: np.ndarray,
         dst: np.ndarray,
@@ -130,29 +105,20 @@ class Network:
         indirect_mean: np.ndarray,
         indirect_variance: np.ndarray,
         max_risk: np.ndarray,
-    ) -> Network:
-        """A Network from its columns, validated as the Edge mapping is.
-
-        The edges may come in any order and are stored in row-major
-        order; max_risk holds one appetite per node.
-        """
-        network = cls.__new__(cls)
-        network._store(
-            node_count, src, dst,
-            [required, direct_mean, direct_variance, indirect_mean, indirect_variance],
-            max_risk,
-        )
-        return network
-
-    def _store(self, node_count, src, dst, columns, max_risk) -> None:
-        """Validate, sort and freeze the columns."""
+    ) -> None:
         n = node_count
         if n < 1:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
+        src, dst = np.asarray(src), np.asarray(dst)
+        for name, end in (("src", src), ("dst", dst)):
+            # the integer cast below would read both 1.9 and True as node 1
+            if end.size and end.dtype.kind not in "iu":
+                raise ConfigurationError(f"{name} must hold integer node ids, got {end.dtype}")
         # copies, so that freezing them below leaves the caller's arrays alone
         src = np.array(src, dtype=np.int64).reshape(-1)
         dst = np.array(dst, dtype=np.int64).reshape(-1)
-        columns = [np.array(column, dtype=float).reshape(-1) for column in columns]
+        columns = [np.array(column, dtype=float).reshape(-1) for column in
+                   (required, direct_mean, direct_variance, indirect_mean, indirect_variance)]
         if any(len(column) != len(src) for column in (dst, *columns)):
             raise ConfigurationError("edge columns differ in length")
         bad = (src == dst) | (src < 1) | (src > n) | (dst < 1) | (dst > n)
@@ -196,11 +162,6 @@ class Network:
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self)
-
-    @property
-    def appetites(self) -> dict[int, RiskAppetite]:
-        """The appetite of every node, keyed by node id."""
-        return {node: RiskAppetite(value) for node, value in enumerate(self.max_risk.tolist(), 1)}
 
     def appetite_for(self, node: int) -> RiskAppetite:
         if not 1 <= node <= self.node_count:
@@ -384,7 +345,7 @@ def generate_network(config: ScenarioConfig) -> Network:
     values = np.concatenate([values for _, values in found]).reshape(-1, 3)
     src, rest = np.divmod(pair, n - 1)
     dst = rest + (rest >= src)
-    return Network.from_columns(
+    return Network(
         n, src + 1, dst + 1, values[:, 0],
         values[:, 1], np.full(len(pair), config.variance_direct),
         values[:, 2], np.full(len(pair), config.variance_indirect),

@@ -157,21 +157,6 @@ class TestSimulate:
         )
         assert tallies + int(report["errors"]) == 30
 
-    def test_fixture_flag_reproduces_reference_sections(self, tmp_path):
-        out = tmp_path / "t1"
-        cp = run_cli("simulate", "--nodes", "3", "--table1", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
-        labels, matrices = parse_matrices((out / "matrices.csv").read_text())
-        assert labels == [1, 2, 3]
-        assert matrices["T"][0].tolist() == [0.0, 0.4546, 0.7148]
-        assert matrices["A"][1].tolist() == [0.5141, 1.0, 0.1610]
-        assert matrices["B"][2].tolist() == [0.4558, 0.0777, 1.0]
-        assert (matrices["R"] != 0).tolist() == [
-            [False, False, True],
-            [False, False, False],
-            [True, False, False],
-        ]
-
     def test_single_node_is_a_configuration_error(self, tmp_path):
         cp = run_cli("simulate", "--nodes", "1", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1
@@ -183,9 +168,10 @@ class TestSimulate:
         assert cp.stderr.startswith("betatrust simulate: max_acceptable_risk must lie in [0, 1]")
         assert "Traceback" not in cp.stderr
 
-    def test_nodes_required_without_fixture_flag(self, tmp_path):
+    def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1
+        assert "--nodes" in cp.stderr
 
     def test_most_fused_edges_failing_exits_one(self, tmp_path):
         out = tmp_path / "fail"
@@ -206,39 +192,73 @@ class TestSimulate:
         assert (out / "risk_series.csv").read_text().startswith("node,1,2,")
 
 
-# simulate --nodes 60 --edge-prob 0.5 --seed 11 --var 0.05 --appetite 0.1: p < 1, all
-# five decisions and both fusion error kinds.  SHA-256 of matrices.csv, risk_series.csv
-# and stderr, and the stdout tally, recorded from the per-edge object implementation.
-GOLDEN_ARGS = ("--nodes", "60", "--edge-prob", "0.5", "--seed", "11", "--var", "0.05",
-               "--appetite", "0.1")
+# SHA-256 of each output, and the stdout tally, for fixed command lines.  "beta" and
+# "average" run simulate --nodes 60 --edge-prob 0.5 --seed 11 --var 0.05 --appetite 0.1
+# (p < 1, all five decisions and both fusion error kinds); their hashes were recorded
+# from the per-edge object implementation.  The others pin the two fixed reference
+# gates: the seed-196 scenario and the bundled three-node network, which reaches
+# reproduce-table1 through the document loader.
+EMPTY = hashlib.sha256(b"").hexdigest()
+SCENARIO_60 = ("simulate", "--nodes", "60", "--edge-prob", "0.5", "--seed", "11",
+               "--var", "0.05", "--appetite", "0.1")
+SEED_196 = ("simulate", "--nodes", "15", "--seed", "196", "--edge-prob", "0.3")
 GOLDEN = {
     "beta": (
-        "4e9e17f468fa430fb412b87cb1f4fa03055de32cfb392f1672419da5bb6f3cbd",
-        "901a301fb18e415b3340cf96b384ae5f76c3b8f332943af55e068c6864a65371",
-        "df60a7919c9777b5063d87680f6d079812336a9f3550b969a5a1f5c132c58508",
-        {"AcceptDirect": "897", "AcceptIndirect": "284", "AcceptCombined": "10",
-         "AcceptWithRisk": "21", "Decline": "378", "errors": "184"},
+        (*SCENARIO_60, "--method", "beta"),
+        {"matrices.csv": "4e9e17f468fa430fb412b87cb1f4fa03055de32cfb392f1672419da5bb6f3cbd",
+         "risk_series.csv": "901a301fb18e415b3340cf96b384ae5f76c3b8f332943af55e068c6864a65371",
+         "stderr": "df60a7919c9777b5063d87680f6d079812336a9f3550b969a5a1f5c132c58508"},
+        {"edges": "1774", "AcceptDirect": "897", "AcceptIndirect": "284",
+         "AcceptCombined": "10", "AcceptWithRisk": "21", "Decline": "378", "errors": "184"},
     ),
     "average": (
-        "eabc0159bb6bed0a03002522787e5b56adbf56722816fa79a1bd8c7317073f37",
-        "e9cdeaf2562e1dca953afc471e3101a8de830925966ebf28e6beaa060cfd0813",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        {"AcceptDirect": "897", "AcceptIndirect": "284", "AcceptCombined": "0",
-         "AcceptWithRisk": "27", "Decline": "566", "errors": "0"},
+        (*SCENARIO_60, "--method", "average"),
+        {"matrices.csv": "eabc0159bb6bed0a03002522787e5b56adbf56722816fa79a1bd8c7317073f37",
+         "risk_series.csv": "e9cdeaf2562e1dca953afc471e3101a8de830925966ebf28e6beaa060cfd0813",
+         "stderr": EMPTY},
+        {"edges": "1774", "AcceptDirect": "897", "AcceptIndirect": "284",
+         "AcceptCombined": "0", "AcceptWithRisk": "27", "Decline": "566", "errors": "0"},
+    ),
+    "seed196-beta": (
+        (*SEED_196, "--method", "beta"),
+        {"matrices.csv": "e8b8e29430767b2a5a8f292a152404a2b4b0e9aca88a94f3eeef0819efbe8cda",
+         "risk_series.csv": "b76211c1606087474dd88e6126791cb950314238eda75717e0f28c5831f626f5",
+         "stderr": EMPTY},
+        {"edges": "61", "errors": "0"},
+    ),
+    "seed196-average": (
+        (*SEED_196, "--method", "average"),
+        {"matrices.csv": "9acfcf4a2d3c752e301e7175e0ed9bcde2cdb4e1a9c990b57f2869856641753b",
+         "risk_series.csv": "7615d721fa93b89ad2943482c5132f2a67a9bf8b67dbb1051d305ec01268c2de",
+         "stderr": EMPTY},
+        {"edges": "61", "errors": "0"},
+    ),
+    "table1-beta": (
+        ("reproduce-table1", "--method", "beta"),
+        {"stdout": "bb79292d82b1f5d38b436efc2de069af5b14cab22e5522098fdda0b1adfc244f",
+         "stderr": EMPTY},
+        {},
+    ),
+    "table1-average": (
+        ("reproduce-table1", "--method", "average"),
+        {"stdout": "635e643b4f44d245aafdffc7967d040eab99e6ce57afa6b93e60ea5f59ba1cc4",
+         "stderr": EMPTY},
+        {},
     ),
 }
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN))
-def test_golden_outputs(tmp_path, method):
-    cp = run_cli("simulate", *GOLDEN_ARGS, "--method", method, "--out", str(tmp_path))
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_outputs(tmp_path, case):
+    args, digests, tally = GOLDEN[case]
+    if args[0] == "simulate":
+        args = (*args, "--out", str(tmp_path))
+    cp = run_cli(*args)
     assert cp.returncode == 0, cp.stderr
-    matrices, series, stderr, tally = GOLDEN[method]
-    assert hashlib.sha256((tmp_path / "matrices.csv").read_bytes()).hexdigest() == matrices
-    assert hashlib.sha256((tmp_path / "risk_series.csv").read_bytes()).hexdigest() == series
-    assert hashlib.sha256(cp.stderr.encode()).hexdigest() == stderr
+    outputs = {"stdout": cp.stdout.encode(), "stderr": cp.stderr.encode()}
+    outputs.update((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    assert {name: hashlib.sha256(outputs[name]).hexdigest() for name in digests} == digests
     report = parse_report(cp.stdout)
-    assert report["edges"] == "1774"
     assert {key: report[key] for key in tally} == tally
 
 
@@ -250,6 +270,13 @@ class TestReproduceTable1:
         labels, matrices = parse_matrices(cp.stdout)
         assert labels == [1, 2, 3]
         assert matrices["T"][0].tolist() == [0.0, 0.4546, 0.7148]
+        assert matrices["A"][1].tolist() == [0.5141, 1.0, 0.1610]
+        assert matrices["B"][2].tolist() == [0.4558, 0.0777, 1.0]
+        assert (matrices["R"] != 0).tolist() == [
+            [False, False, True],
+            [False, False, False],
+            [True, False, False],
+        ]
         assert matrices["C"][0][2] == pytest.approx(0.6060, abs=5e-5)
         assert matrices["R"][0][2] == pytest.approx(0.1088, abs=5e-5)
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from betatrust import (
+    Edge,
     NetworkDocumentError,
     RiskAppetite,
     ScenarioConfig,
+    TrustEstimate,
     generate_network,
     load_network,
     parse_matrices,
@@ -134,6 +136,16 @@ class TestNetworkDocument:
         with pytest.raises(NetworkDocumentError, match=r"edges\[0\].*direct_variance"):
             load_network(path)
 
+    @pytest.mark.parametrize("bound", [0.0, 1.0])
+    def test_unit_interval_ends_accepted(self, bound):
+        doc = minimal_document()
+        doc["defaults"] = {"max_acceptable_risk": bound}
+        doc["appetites"] = {"2": bound}
+        doc["edges"][0].update(required=bound, direct_mean=bound, indirect_mean=bound)
+        network = document_to_network(doc)
+        assert network.edges[(1, 2)] == Edge(bound, TrustEstimate(bound), TrustEstimate(bound))
+        assert network.max_risk.tolist() == [bound, bound]
+
     def test_range_violation_names_the_edge(self):
         doc = minimal_document()
         doc["edges"][0]["required"] = 1.2
@@ -149,13 +161,14 @@ class TestNetworkDocument:
     def test_duplicate_edge_rejected(self):
         doc = minimal_document()
         doc["edges"].append(dict(doc["edges"][0]))
-        with pytest.raises(NetworkDocumentError, match="duplicate edge"):
+        with pytest.raises(NetworkDocumentError, match=r"^edges: duplicate edge \(1, 2\)$"):
             document_to_network(doc)
 
     def test_self_edge_rejected(self):
         doc = minimal_document()
         doc["edges"][0]["to"] = 1
-        with pytest.raises(NetworkDocumentError, match="self-edge"):
+        with pytest.raises(NetworkDocumentError,
+                           match=r"^edges: self-edge \(1, 1\) is not allowed$"):
             document_to_network(doc)
 
     def test_non_contiguous_ids_rejected(self):

@@ -76,7 +76,7 @@ def oracle_assessment(network):
         risk = max(0.0, edge.required - combined)
         c[i - 1, j - 1] = combined
         r[i - 1, j - 1] = risk
-        appetite = network.appetites[i].max_acceptable_risk
+        appetite = network.appetite_for(i).max_acceptable_risk
         if risk == 0.0:
             decisions[(i, j)] = Decision.ACCEPT_COMBINED
         elif risk <= appetite:
@@ -84,6 +84,14 @@ def oracle_assessment(network):
         else:
             decisions[(i, j)] = Decision.DECLINE
     return t, a, b, c, r, decisions
+
+
+def network_from_edges(node_count, edges, max_risk=None):
+    """A Network from {(i, j): Edge}; max_risk defaults to 0 for every node."""
+    rows = [(i, j, e.required, e.direct.mean, e.direct.variance, e.indirect.mean,
+             e.indirect.variance) for (i, j), e in edges.items()]
+    columns = [list(column) for column in zip(*rows)] if rows else [[]] * 7
+    return Network(node_count, *columns, [0.0] * node_count if max_risk is None else max_risk)
 
 
 class TestScenarioConfig:
@@ -138,7 +146,7 @@ class TestGenerateNetwork:
         edge = network.edges[(1, 2)]
         assert edge.direct.variance == 0.004
         assert edge.indirect.variance == 0.008
-        assert network.appetites[3] == RiskAppetite(0.2)
+        assert network.appetite_for(3) == RiskAppetite(0.2)
 
 
 def generate_v1(config):
@@ -155,8 +163,8 @@ def generate_v1(config):
                 TrustEstimate(rng.random(), config.variance_direct),
                 TrustEstimate(rng.random(), config.variance_indirect),
             )
-    appetites = {node: RiskAppetite(config.max_acceptable_risk) for node in nodes}
-    return Network(config.node_count, edges, appetites)
+    return network_from_edges(config.node_count, edges,
+                              [config.max_acceptable_risk] * config.node_count)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 17, netsim.DRAW_CHUNK])
@@ -180,10 +188,10 @@ class TestColumns:
 
     def test_mapping_and_column_forms_agree(self):
         network = self.network()
-        assert Network(5, dict(network.edges), network.appetites) == network
+        assert network_from_edges(5, dict(network.edges), network.max_risk) == network
         order = np.arange(len(network.src))[::-1]
         reversed_columns = [column[order] for column in self.columns(network)]
-        assert Network.from_columns(5, *reversed_columns, network.max_risk) == network
+        assert Network(5, *reversed_columns, network.max_risk) == network
 
     def test_columns_are_row_major_and_read_only(self):
         network = self.network()
@@ -196,15 +204,15 @@ class TestColumns:
     def test_caller_arrays_stay_writable(self):
         src, dst = np.array([2, 1]), np.array([1, 2])
         required = np.array([0.5, 0.25])
-        Network.from_columns(2, src, dst, required, required, required + 0.1, required,
-                             required + 0.1, np.zeros(2))
+        Network(2, src, dst, required, required, required + 0.1, required, required + 0.1,
+                np.zeros(2))
         required[0] = 0.75
         assert src.flags.writeable
 
     def test_duplicate_edge_rejected(self):
         ones = np.full(2, 0.5)
         with pytest.raises(ConfigurationError, match=r"duplicate edge \(1, 2\)"):
-            Network.from_columns(2, [1, 1], [2, 2], ones, ones, ones, ones, ones, np.zeros(2))
+            Network(2, [1, 1], [2, 2], ones, ones, ones, ones, ones, np.zeros(2))
 
     @pytest.mark.parametrize("change, error, message", [
         ({"src": 2}, ConfigurationError, "self-edge (2, 2) is not allowed"),
@@ -213,17 +221,23 @@ class TestColumns:
         ({"direct_mean": -0.5}, RangeError, "mean must lie in [0, 1], got -0.5"),
         ({"indirect_variance": 0.0}, InvalidVarianceError, "variance must be positive, got 0.0"),
         ({"max_risk": 2.0}, RangeError, "max_acceptable_risk must lie in [0, 1], got 2.0"),
+        # endpoints that an integer cast would truncate or read as node 1
+        ({"src": 1.9, "dst": 2.2}, ConfigurationError,
+         "src must hold integer node ids, got float64"),
+        ({"dst": 2.0}, ConfigurationError, "dst must hold integer node ids, got float64"),
+        ({"src": [True, True]}, ConfigurationError, "src must hold integer node ids, got bool"),
+        ({"dst": [3, None]}, ConfigurationError, "dst must hold integer node ids, got object"),
     ])
     def test_column_errors_match_the_edge_constructors(self, change, error, message):
+        # a value sets the second edge's entry, a list the whole column
         fields = {"src": 1, "dst": 2, "required": 0.5, "direct_mean": 0.4,
                   "direct_variance": 0.01, "indirect_mean": 0.3, "indirect_variance": 0.01,
-                  "max_risk": 0.0, **change}
+                  **change}
+        columns = [fields[name] if isinstance(fields[name], list) else [first, fields[name]]
+                   for name, first in zip(("src", "dst", *netsim.EDGE_COLUMNS),
+                                          (1, 3, 0.5, 0.5, 0.5, 0.5, 0.5))]
         with pytest.raises(error) as info:
-            Network.from_columns(
-                3, [1, fields["src"]], [3, fields["dst"]],
-                *([0.5, fields[name]] for name in netsim.EDGE_COLUMNS),
-                [0.0, fields["max_risk"], 0.0],
-            )
+            Network(3, *columns, [0.0, change.get("max_risk", 0.0), 0.0])
         assert str(info.value) == message
 
     def test_edges_view(self):
@@ -254,21 +268,6 @@ class TestColumns:
         for node in (0, 6):
             with pytest.raises(KeyError):
                 network.appetite_for(node)
-
-
-class TestNetworkValidation:
-    def test_rejects_self_edge(self):
-        with pytest.raises(ConfigurationError):
-            Network(2, {(1, 1): Edge(0.5, TrustEstimate(0.5), TrustEstimate(0.5))})
-
-    def test_rejects_out_of_range_endpoint(self):
-        with pytest.raises(ConfigurationError):
-            Network(2, {(1, 3): Edge(0.5, TrustEstimate(0.5), TrustEstimate(0.5))})
-
-    def test_appetites_normalised_to_all_nodes(self):
-        network = Network(3, {}, {2: RiskAppetite(0.4)})
-        assert network.appetite_for(1) == RiskAppetite(0.0)
-        assert network.appetite_for(2) == RiskAppetite(0.4)
 
 
 class TestFixtureAssessment:
@@ -325,7 +324,7 @@ class TestFixtureAssessment:
 
 class TestRunAssessment:
     def test_absent_edges_are_zero_everywhere(self):
-        network = Network(
+        network = network_from_edges(
             3, {(1, 2): Edge(0.2, TrustEstimate(0.6), TrustEstimate(0.5))}
         )
         result = run_assessment(network)
@@ -335,7 +334,7 @@ class TestRunAssessment:
             assert matrix[2, 0] == 0.0
 
     def test_no_edges_gives_identity_like_matrices(self):
-        result = run_assessment(Network(4, {}))
+        result = run_assessment(network_from_edges(4, {}))
         assert np.array_equal(result.t_matrix, np.zeros((4, 4)))
         assert np.array_equal(result.r_matrix, np.zeros((4, 4)))
         assert np.array_equal(result.a_matrix, np.eye(4))
@@ -347,7 +346,7 @@ class TestRunAssessment:
             (1, 2): Edge(0.999, TrustEstimate(0.998), TrustEstimate(0.12)),
             (2, 1): Edge(0.3, TrustEstimate(0.7), TrustEstimate(0.2)),
         }
-        result = run_assessment(Network(2, edges))
+        result = run_assessment(network_from_edges(2, edges))
         assert len(result.errors) == 1
         error = result.errors[0]
         assert (error.from_node, error.to_node) == (1, 2)
@@ -366,7 +365,7 @@ class TestRunAssessment:
             TrustEstimate(0.4324296867870303, 0.07820908251563337),
             TrustEstimate(0.44687694450688287, 0.2114986240697817),
         )
-        result = run_assessment(Network(2, {(1, 2): edge}))
+        result = run_assessment(network_from_edges(2, {(1, 2): edge}))
         assert result.errors == []
         assert result.decisions[(1, 2)] is Decision.DECLINE
         assert 0.0 < result.c_matrix[0, 1] < 1.0
@@ -376,7 +375,7 @@ class TestRunAssessment:
             (1, 2): Edge(0.9, TrustEstimate(0.5, 1e-320), TrustEstimate(0.3)),
             (2, 1): Edge(0.3, TrustEstimate(0.7), TrustEstimate(0.2)),
         }
-        result = run_assessment(Network(2, edges))
+        result = run_assessment(network_from_edges(2, edges))
         assert [(e.from_node, e.to_node, e.kind) for e in result.errors] == [
             (1, 2, "InvalidVarianceError")
         ]
@@ -388,15 +387,16 @@ class TestRunAssessment:
             (1, 2): Edge(0.9, TrustEstimate(0.5), TrustEstimate(0.3)),
             (2, 1): Edge(0.3, TrustEstimate(0.7), TrustEstimate(0.2)),
         }
-        result = run_assessment(Network(2, edges), combiner=lambda direct, indirect: value)
+        result = run_assessment(network_from_edges(2, edges),
+                                combiner=lambda direct, indirect: value)
         assert [(e.from_node, e.to_node, e.kind) for e in result.errors] == [(1, 2, "RangeError")]
         assert result.decisions == {(2, 1): Decision.ACCEPT_DIRECT}
         assert result.c_matrix[0, 1] == 0.0 and result.r_matrix[0, 1] == 0.0
 
     def test_appetite_of_evaluating_node_applies(self):
         edges = {(1, 2): Edge(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))}
-        lenient = Network(2, edges, {1: RiskAppetite(1.0)})
-        strict = Network(2, edges, {2: RiskAppetite(1.0)})
+        lenient = network_from_edges(2, edges, [1.0, 0.0])
+        strict = network_from_edges(2, edges, [0.0, 1.0])
         assert run_assessment(lenient).decisions[(1, 2)] is Decision.ACCEPT_WITH_RISK
         assert run_assessment(strict).decisions[(1, 2)] is Decision.DECLINE
 
@@ -448,8 +448,8 @@ def small_networks(draw):
         pair: Edge(draw(unit), TrustEstimate(draw(unit)), TrustEstimate(draw(unit)))
         for pair in draw(st.lists(st.sampled_from(pairs), unique=True))
     }
-    appetites = {node: RiskAppetite(draw(unit)) for node in range(1, n + 1)}
-    return Network(n, edges, appetites)
+    max_risk = [draw(unit) for _ in range(n)]
+    return network_from_edges(n, edges, max_risk)
 
 
 @given(small_networks(), st.lists(st.floats(), min_size=1))
@@ -509,9 +509,8 @@ def boundary_networks(draw):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     edges = {pair: draw(boundary_edges())
              for pair in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))}
-    appetites = {node: RiskAppetite(draw(st.one_of(st.sampled_from([0.0, 1.0]), unit)))
-                 for node in range(1, n + 1)}
-    return Network(n, edges, appetites)
+    max_risk = [draw(st.one_of(st.sampled_from([0.0, 1.0]), unit)) for _ in range(n)]
+    return network_from_edges(n, edges, max_risk)
 
 
 def per_edge_outcomes(network, combiner):
@@ -534,8 +533,9 @@ def with_risk_at_appetite(network, combiner):
     appetites = {}
     for (i, _), (outcome, _, risk) in per_edge_outcomes(network, combiner).items():
         if isinstance(outcome, Decision) and risk > 0.0:
-            appetites.setdefault(i, RiskAppetite(risk))
-    return Network(network.node_count, dict(network.edges), {**network.appetites, **appetites})
+            appetites.setdefault(i, risk)
+    max_risk = [appetites.get(node, risk) for node, risk in enumerate(network.max_risk, 1)]
+    return network_from_edges(network.node_count, dict(network.edges), max_risk)
 
 
 @pytest.mark.parametrize("combiner", [combined_trust, average_combiner, custom_combiner])
