@@ -166,16 +166,17 @@ def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
 
 
 def _shape_mean(alpha, beta):
-    """alpha / (alpha + beta), the mean of Beta(alpha, beta)."""
-    return alpha / (alpha + beta)
+    """alpha / (alpha + beta), the mean of Beta(alpha, beta); 1 - 2**-53 where it rounds to 1."""
+    mean = alpha / (alpha + beta)
+    return mean - (mean == 1.0) * 2.0**-53
 
 
 def beta_mean(params: BetaParams) -> float:
     """Expected value alpha / (alpha + beta).
 
     It lies strictly inside (0, 1) in exact arithmetic.  In floating
-    point it rounds to 1.0 when beta is below about 2**-53 * alpha, and
-    to 0.0 only on underflow.
+    point it is the largest double below 1 where the quotient rounds to
+    1.0 (beta below about 2**-53 * alpha), and 0.0 only on underflow.
     """
     return _shape_mean(params.alpha, params.beta)
 

@@ -10,15 +10,17 @@ row-major (i, j) order, plus one appetite per node.  Its one constructor
 takes those columns; generate_network and the document loader fill them
 without making an Edge.  Edges are evaluated independently of each
 other, so run_assessment decides all of them with array expressions
-over those columns.  The scalar evaluate_request runs only on the edges
-whose fusion fails, to name the error, and on every edge that reaches C
-when the caller passes a combiner that has no column form.
+over those columns.  The scalar evaluate_request runs only to give C or
+name the error on the edges that the combiner's column form leaves
+without a C (on all that reach C, for a combiner that has none).  The
+result keeps only C, R and the outcomes; T, A and B stay in the network.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -109,16 +111,18 @@ class Network:
         n = node_count
         if n < 1:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
-        src, dst = np.asarray(src), np.asarray(dst)
-        for name, end in (("src", src), ("dst", dst)):
-            # the integer cast below would read both 1.9 and True as node 1
-            if end.size and end.dtype.kind not in "iu":
-                raise ConfigurationError(f"{name} must hold integer node ids, got {end.dtype}")
+        columns = [np.asarray(column) for column in (
+            src, dst, required, direct_mean, direct_variance, indirect_mean, indirect_variance,
+            max_risk)]
+        for name, column in zip(("src", "dst", *EDGE_COLUMNS, "max_risk"), columns):
+            # the casts below would read 1.9 and True as node 1, and True or '0.5' as a number
+            ends = name in ("src", "dst")
+            kinds, what = ("iu", "integer node ids") if ends else ("iuf", "numbers")
+            if column.size and column.dtype.kind not in kinds:
+                raise ConfigurationError(f"{name} must hold {what}, got {column.dtype}")
         # copies, so that freezing them below leaves the caller's arrays alone
-        src = np.array(src, dtype=np.int64).reshape(-1)
-        dst = np.array(dst, dtype=np.int64).reshape(-1)
-        columns = [np.array(column, dtype=float).reshape(-1) for column in
-                   (required, direct_mean, direct_variance, indirect_mean, indirect_variance)]
+        src, dst = (np.array(end, dtype=np.int64).reshape(-1) for end in columns[:2])
+        *columns, max_risk = (np.array(column, dtype=float).reshape(-1) for column in columns[2:])
         if any(len(column) != len(src) for column in (dst, *columns)):
             raise ConfigurationError("edge columns differ in length")
         bad = (src == dst) | (src < 1) | (src > n) | (dst < 1) | (dst > n)
@@ -136,7 +140,6 @@ class Network:
             k = bad.argmax()
             Edge(float(required[k]), TrustEstimate(float(direct_mean[k]), float(direct_var[k])),
                  TrustEstimate(float(indirect_mean[k]), float(indirect_var[k])))
-        max_risk = np.array(max_risk, dtype=float).reshape(-1)
         if len(max_risk) != n:
             raise ConfigurationError(f"max_risk has {len(max_risk)} entries, expected {n}")
         bad = ~((max_risk >= 0.0) & (max_risk <= 1.0))
@@ -210,6 +213,11 @@ class ScenarioConfig:
     max_acceptable_risk: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("seed", "node_count"):
+            value = getattr(self, name)
+            # numpy would read True as 1, and reject 1.5 only when generating
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.node_count < 2:
@@ -244,26 +252,30 @@ FAILED = -1
 _CODE = {decision: code for code, decision in enumerate(DECISIONS)}
 
 
+def _matrix(n: int, diagonal: float, cell: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An n x n matrix: diagonal on its diagonal, values at the flat cells, 0 elsewhere."""
+    matrix = np.zeros((n, n))
+    np.fill_diagonal(matrix, diagonal)
+    matrix.flat[cell] = values
+    return matrix
+
+
 @dataclass(eq=False)
 class AssessmentResult:
-    """Five matrices plus per-edge outcomes for one assessment run.
+    """What one assessment run computed: C, R and the outcome of every edge.
 
     Matrix cell [i-1, j-1] belongs to the edge from node i to node j.
-    Conventions: T and R diagonals are 0, the A, B, C diagonals are 1;
-    absent edges are 0 in all matrices; a combined value that was never
-    computed (short-circuited or errored edge) is rendered 0.
+    The C diagonal is 1 and the R diagonal 0; an absent edge, and an edge
+    whose C was never computed (short-circuited or errored), is 0 in
+    both.  as_matrix_dict adds the T, A and B matrices of network.
 
-    outcome holds, per edge of the assessed network (src, dst), the
-    index of its decision in DECISIONS, or FAILED for an edge in errors.
+    outcome holds, per edge of network in column order, the index of its
+    decision in DECISIONS, or FAILED for an edge in errors.
     """
 
-    t_matrix: np.ndarray
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
+    network: Network
     c_matrix: np.ndarray
     r_matrix: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
     outcome: np.ndarray
     errors: list[EdgeError]
 
@@ -272,16 +284,18 @@ class AssessmentResult:
         """The decision of every edge not in errors, keyed by (i, j)."""
         decided = np.flatnonzero(self.outcome != FAILED)
         return dict(zip(
-            zip(self.src[decided].tolist(), self.dst[decided].tolist()),
+            zip(self.network.src[decided].tolist(), self.network.dst[decided].tolist()),
             map(DECISIONS.__getitem__, self.outcome[decided].tolist()),
         ))
 
     def as_matrix_dict(self) -> dict[str, np.ndarray]:
-        """The matrices keyed by their section names T, A, B, C, R."""
+        """The matrices keyed by section name; T, A and B are built from network on each call."""
+        network = self.network
+        n, cell = network.node_count, network.cell
         return {
-            "T": self.t_matrix,
-            "A": self.a_matrix,
-            "B": self.b_matrix,
+            "T": _matrix(n, 0.0, cell, network.required),
+            "A": _matrix(n, 1.0, cell, network.direct_mean),
+            "B": _matrix(n, 1.0, cell, network.indirect_mean),
             "C": self.c_matrix,
             "R": self.r_matrix,
         }
@@ -354,7 +368,7 @@ def generate_network(config: ScenarioConfig) -> Network:
 
 
 def run_assessment(network: Network, combiner: Combiner = combined_trust) -> AssessmentResult:
-    """Evaluate every edge of the network and fill the result matrices.
+    """Decide every edge of the network and fill the C and R matrices.
 
     The evaluating node of edge (i, j) is i, so its appetite applies.
     Every edge ends in exactly one of decisions and errors, with the
@@ -364,64 +378,47 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     EdgeError named after the exception class is appended while the
     remaining edges proceed.
 
-    A combiner listed in COLUMN_COMBINERS is evaluated on the columns of
-    all edges that reach C at once; evaluate_request then runs only on
-    the edges where that gives no value in [0, 1], to raise their error.
-    Any other combiner is called through evaluate_request once per edge
-    that reaches C.
+    A combiner listed in COLUMN_COMBINERS gives C for all edges that
+    reach it at once.  evaluate_request then runs once on each of those
+    edges left without a C in [0, 1] (all of them, for any other
+    combiner), only to supply that C or to raise the edge's error.  One
+    array pass sets R and the decision of every edge that has a C.
     """
-    n = network.node_count
     required = network.required
     outcome = np.full(len(required), FAILED, dtype=np.int8)
-    combined = np.zeros(len(required))
-    risk = np.zeros(len(required))
     direct = network.direct_mean >= required
     indirect = ~direct & (network.indirect_mean >= required)
     outcome[direct] = _CODE[Decision.ACCEPT_DIRECT]
     outcome[indirect] = _CODE[Decision.ACCEPT_INDIRECT]
     fused = np.flatnonzero(~direct & ~indirect)
     columns = COLUMN_COMBINERS.get(combiner)
-    if columns is not None:
-        value = columns(network.direct_mean[fused], network.direct_variance[fused],
-                        network.indirect_mean[fused], network.indirect_variance[fused])
-        valid = (value >= 0.0) & (value <= 1.0)  # False for NaN
-        decided, per_edge = fused[valid], fused[~valid]
-        value = value[valid]
-        shortfall = np.maximum(required[decided] - value, 0.0)
-        combined[decided] = value
-        risk[decided] = shortfall
-        outcome[decided] = np.where(
-            shortfall == 0.0, _CODE[Decision.ACCEPT_COMBINED],
-            np.where(shortfall <= network.max_risk[network.src[decided] - 1],
-                     _CODE[Decision.ACCEPT_WITH_RISK], _CODE[Decision.DECLINE]))
-    else:
-        per_edge = fused
+    value = np.full(len(fused), np.nan) if columns is None else columns(
+        network.direct_mean[fused], network.direct_variance[fused],
+        network.indirect_mean[fused], network.indirect_variance[fused])
+    valid = (value >= 0.0) & (value <= 1.0)  # False for NaN
     errors: list[EdgeError] = []
+    missing = np.flatnonzero(~valid)
     for k, i, j, need, direct_mean, direct_var, indirect_mean, indirect_var in zip(
-        per_edge.tolist(), *(column[per_edge].tolist() for column in (
+        missing.tolist(), *(column[fused[missing]].tolist() for column in (
             network.src, network.dst, required, network.direct_mean, network.direct_variance,
             network.indirect_mean, network.indirect_variance))
     ):
         try:
-            record = evaluate_request(need, TrustEstimate(direct_mean, direct_var),
-                                      TrustEstimate(indirect_mean, indirect_var),
-                                      network.appetite_for(i), combiner)
+            value[k] = evaluate_request(need, TrustEstimate(direct_mean, direct_var),
+                                        TrustEstimate(indirect_mean, indirect_var),
+                                        combiner=combiner).combined
+            valid[k] = True
         except TrustError as exc:
             errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
-            continue
-        combined[k] = record.combined
-        risk[k] = record.risk
-        outcome[k] = _CODE[record.decision]
-
-    t = np.zeros((n, n))
-    r = np.zeros((n, n))
-    a = np.eye(n)
-    b = np.eye(n)
-    c = np.eye(n)
-    for matrix, column in ((t, required), (a, network.direct_mean),
-                           (b, network.indirect_mean), (c, combined), (r, risk)):
-        matrix.flat[network.cell] = column
-    return AssessmentResult(t, a, b, c, r, network.src, network.dst, outcome, errors)
+    decided, value = fused[valid], value[valid]
+    risk = np.maximum(required[decided] - value, 0.0)
+    outcome[decided] = np.where(
+        risk == 0.0, _CODE[Decision.ACCEPT_COMBINED],
+        np.where(risk <= network.max_risk[network.src[decided] - 1],
+                 _CODE[Decision.ACCEPT_WITH_RISK], _CODE[Decision.DECLINE]))
+    n, cell = network.node_count, network.cell[decided]
+    return AssessmentResult(network, _matrix(n, 1.0, cell, value), _matrix(n, 0.0, cell, risk),
+                            outcome, errors)
 
 
 def fifteen_node_config() -> ScenarioConfig:

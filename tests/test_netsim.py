@@ -96,18 +96,23 @@ def network_from_edges(node_count, edges, max_risk=None):
 
 class TestScenarioConfig:
     def test_rejects_single_node(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(seed=1, node_count=1, edge_probability=0.5)
+        # and node counts that are not integers
+        for node_count in (1, 3.5, 3.0, True, "3"):
+            with pytest.raises(ConfigurationError):
+                ScenarioConfig(seed=1, node_count=node_count, edge_probability=0.5)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(seed=1, node_count=3, edge_probability=1.2)
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(seed=-1, node_count=3, edge_probability=0.5)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(seed=2**64, node_count=3, edge_probability=0.5)
+        for seed in (-1, 2**64, 1.5, 1.0, True, np.bool_(True), None):
+            with pytest.raises(ConfigurationError):
+                ScenarioConfig(seed=seed, node_count=3, edge_probability=0.5)
+
+    def test_numpy_integers_accepted(self):
+        config = ScenarioConfig(seed=np.uint64(196), node_count=np.int64(15), edge_probability=0.3)
+        assert generate_network(config) == generate_network(fifteen_node_config())
 
 
 class TestGenerateNetwork:
@@ -227,6 +232,20 @@ class TestColumns:
         ({"dst": 2.0}, ConfigurationError, "dst must hold integer node ids, got float64"),
         ({"src": [True, True]}, ConfigurationError, "src must hold integer node ids, got bool"),
         ({"dst": [3, None]}, ConfigurationError, "dst must hold integer node ids, got object"),
+        # whole float columns that a float cast would read as numbers
+        ({"required": [True, False]}, ConfigurationError, "required must hold numbers, got bool"),
+        ({"direct_mean": ["0.5", "0.4"]}, ConfigurationError,
+         "direct_mean must hold numbers, got <U3"),
+        ({"direct_variance": [0.01, None]}, ConfigurationError,
+         "direct_variance must hold numbers, got object"),
+        ({"indirect_mean": [0.5, "0.3"]}, ConfigurationError,
+         "indirect_mean must hold numbers, got <U32"),
+        ({"indirect_variance": [0.01, 1j]}, ConfigurationError,
+         "indirect_variance must hold numbers, got complex128"),
+        ({"max_risk": [False, "1", 0.0]}, ConfigurationError,
+         "max_risk must hold numbers, got <U32"),
+        ({"max_risk": [False, True, False]}, ConfigurationError,
+         "max_risk must hold numbers, got bool"),
     ])
     def test_column_errors_match_the_edge_constructors(self, change, error, message):
         # a value sets the second edge's entry, a list the whole column
@@ -236,8 +255,9 @@ class TestColumns:
         columns = [fields[name] if isinstance(fields[name], list) else [first, fields[name]]
                    for name, first in zip(("src", "dst", *netsim.EDGE_COLUMNS),
                                           (1, 3, 0.5, 0.5, 0.5, 0.5, 0.5))]
+        max_risk = change.get("max_risk", 0.0)
         with pytest.raises(error) as info:
-            Network(3, *columns, [0.0, change.get("max_risk", 0.0), 0.0])
+            Network(3, *columns, max_risk if isinstance(max_risk, list) else [0.0, max_risk, 0.0])
         assert str(info.value) == message
 
     def test_edges_view(self):
@@ -304,9 +324,10 @@ class TestFixtureAssessment:
 
     def test_matrix_conventions(self):
         result = run_assessment(load_bundled_three_node())
-        assert np.array_equal(np.diag(result.t_matrix), np.zeros(3))
+        matrices = result.as_matrix_dict()
+        assert np.array_equal(np.diag(matrices["T"]), np.zeros(3))
         assert np.array_equal(np.diag(result.r_matrix), np.zeros(3))
-        for matrix in (result.a_matrix, result.b_matrix, result.c_matrix):
+        for matrix in (matrices["A"], matrices["B"], result.c_matrix):
             assert np.array_equal(np.diag(matrix), np.ones(3))
 
     def test_average_combiner(self):
@@ -335,9 +356,9 @@ class TestRunAssessment:
 
     def test_no_edges_gives_identity_like_matrices(self):
         result = run_assessment(network_from_edges(4, {}))
-        assert np.array_equal(result.t_matrix, np.zeros((4, 4)))
+        assert np.array_equal(result.as_matrix_dict()["T"], np.zeros((4, 4)))
         assert np.array_equal(result.r_matrix, np.zeros((4, 4)))
-        assert np.array_equal(result.a_matrix, np.eye(4))
+        assert np.array_equal(result.as_matrix_dict()["A"], np.eye(4))
         assert result.decisions == {}
 
     def test_degenerate_edge_poisons_only_itself(self):
@@ -356,7 +377,7 @@ class TestRunAssessment:
         assert result.r_matrix[0, 1] == 0.0
         # the healthy edge still went through
         assert result.decisions[(2, 1)] is Decision.ACCEPT_DIRECT
-        assert result.a_matrix[0, 1] == 0.998  # inputs stay reported
+        assert result.as_matrix_dict()["A"][0, 1] == 0.998  # inputs stay reported
 
     def test_near_degenerate_edge_is_assessed(self):
         # aA + aB - 1 is 2**-52: the posterior mean is about 7e-16
@@ -420,9 +441,10 @@ class TestRunAssessment:
         result = run_assessment(network)
         assert result.errors == []
         t, a, b, c, r, decisions = oracle_assessment(network)
-        assert np.allclose(result.t_matrix, t, atol=1e-12, rtol=0.0)
-        assert np.allclose(result.a_matrix, a, atol=1e-12, rtol=0.0)
-        assert np.allclose(result.b_matrix, b, atol=1e-12, rtol=0.0)
+        matrices = result.as_matrix_dict()
+        assert np.allclose(matrices["T"], t, atol=1e-12, rtol=0.0)
+        assert np.allclose(matrices["A"], a, atol=1e-12, rtol=0.0)
+        assert np.allclose(matrices["B"], b, atol=1e-12, rtol=0.0)
         assert np.allclose(result.c_matrix, c, atol=1e-12, rtol=0.0)
         assert np.allclose(result.r_matrix, r, atol=1e-12, rtol=0.0)
         assert result.decisions == decisions
