@@ -133,22 +133,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     network = netsim.generate_network(config)
 
     result = netsim.run_assessment(network, COMBINERS[args.method])
-    for error in result.errors:
-        print(f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}",
-              file=sys.stderr)
+    sys.stderr.write("".join(
+        f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}\n"
+        for error in result.errors))
 
     args.out.mkdir(parents=True, exist_ok=True)
     labels = list(range(1, network.node_count + 1))
     matrices_path = args.out / "matrices.csv"
     series_path = args.out / "risk_series.csv"
-    matrices_path.write_text(
-        documents.render_matrices(labels, result.as_matrix_dict(),
-                                  comments=[f"combiner: {args.method}"]),
-        encoding="utf-8",
-    )
-    series_path.write_text(
-        documents.render_risk_table(labels, result.r_matrix), encoding="utf-8"
-    )
+    documents.write_matrices(matrices_path, labels, result.as_matrix_dict(),
+                             comments=[f"combiner: {args.method}"])
+    documents.write_risk_table(series_path, labels, result.r_matrix)
 
     tally = result.decision_tally()
     print(f"nodes {network.node_count}")

@@ -23,15 +23,19 @@ a self-edge or a duplicate edge, reported at the path "edges".
 
 Matrix table (comma-separated text, diff-friendly): a labels line, then
 the five sections T, A, B, C, R, each one name line followed by n rows
-rendered with 4 decimal places.  Lines starting with '#' are comments.
+of "%.4f" cells.  Lines starting with '#' are comments.  A block of 64 float64
+rows in [0, 1], none -0.0, looks its cells up by rint(x * 1e4) and lets "%.4f"
+format any cell within 1e-9 of a half; write_matrices and write_risk_table stream.
 """
 from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +49,8 @@ MATRIX_HEADER = "# trust matrices v1"
 
 #: The three-node reference network shipped with the package.
 THREE_NODE_RESOURCE = "three_node_network.json"
+
+_BLOCK_ROWS = 64  # table rows formatted at a time
 
 
 def _require(condition: bool, message: str, where: str) -> None:
@@ -186,29 +192,68 @@ def load_bundled_three_node() -> Network:
     return document_to_network(json.loads(text))
 
 
-def _row_format(cells: int) -> str:
-    """printf template of one table row: cells values to 4 decimal places."""
-    return ",".join(["%.4f"] * cells)
+def _square(name: str, matrix: np.ndarray, n: int) -> np.ndarray:
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix {name} has shape {matrix.shape}, expected ({n}, {n})")
+    return matrix
 
 
-def render_matrices(
-    labels: Sequence[int],
-    matrices: Mapping[str, np.ndarray],
-    comments: Sequence[str] = (),
-) -> str:
+@cache
+def _cells() -> np.ndarray:
+    """_cells()[k] is the 7-byte cell "%.4f," of k / 1e4, for k = 0..10000."""
+    cells = np.tile(np.frombuffer(b"0.0000,", np.uint8), (10001, 1))
+    cells[:, [0, 2, 3, 4, 5]] = np.arange(10001)[:, None] // [10000, 1000, 100, 10, 1] % 10 + 48
+    return cells.view("V7").ravel()
+
+
+def _table_rows(matrix: np.ndarray) -> Iterator[bytes]:
+    """Yield the rows of matrix, "%.4f" cells joined by commas, a block at a time."""
+    row_format = ",".join(["%.4f"] * matrix.shape[1]) + "\n"
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        x = matrix[start:start + _BLOCK_ROWS]
+        if x.dtype != np.float64 or not ((x <= 1.0) & ~np.signbit(x)).all():  # NaN, x < 0
+            yield "".join([row_format % tuple(row.tolist()) for row in x]).encode()
+            continue
+        y = x * 1e4
+        k = np.rint(y)
+        rows = _cells().take(k.astype(np.intp)).view(np.uint8)
+        rows[:, -1] = ord("\n")
+        for i, j in zip(*np.nonzero(np.abs(y - k) >= 0.5 - 1e-9)):
+            rows[i, 7 * j:7 * j + 6] = np.frombuffer(b"%.4f" % x[i, j], np.uint8)
+        yield rows.tobytes()
+
+
+def _matrix_chunks(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
+                   comments: Sequence[str]) -> Iterator[bytes]:
+    """Check every section's shape, then return the matrix table lazily."""
+    sections = [(name, _square(name, matrices[name], len(labels))) for name in MATRIX_SECTIONS]
+    head = [MATRIX_HEADER, *(f"# {comment}" for comment in comments),
+            "labels," + ",".join(str(label) for label in labels)]
+    return chain([("\n".join(head) + "\n").encode()],
+                 *(chain([f"{name}\n".encode()], _table_rows(matrix))
+                   for name, matrix in sections))
+
+
+def _risk_chunks(labels: Sequence[int], r_matrix: np.ndarray) -> Iterator[bytes]:
+    """Check R's shape, then return the risk table lazily, a row at a time."""
+    rows = (row for block in _table_rows(_square("R", r_matrix, len(labels)))
+            for row in block.splitlines(keepends=True))
+    head = "node," + ",".join(str(label) for label in labels) + "\n"
+    return chain([head.encode()], (f"{label},".encode() + row for label, row in zip(labels, rows)))
+
+
+def render_matrices(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
+                    comments: Sequence[str] = ()) -> str:
     """Render the five named matrices as the comma-separated table format."""
-    n = len(labels)
-    row_format = _row_format(n)
-    lines = [MATRIX_HEADER]
-    lines.extend(f"# {comment}" for comment in comments)
-    lines.append("labels," + ",".join(str(label) for label in labels))
-    for name in MATRIX_SECTIONS:
-        matrix = matrices[name]
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix {name} has shape {matrix.shape}, expected ({n}, {n})")
-        lines.append(name)
-        lines.extend(row_format % tuple(row.tolist()) for row in matrix)
-    return "\n".join(lines) + "\n"
+    return b"".join(_matrix_chunks(labels, matrices, comments)).decode()
+
+
+def write_matrices(path: str | Path, labels: Sequence[int],
+                   matrices: Mapping[str, np.ndarray], comments: Sequence[str] = ()) -> None:
+    """Stream render_matrices(labels, matrices, comments) to path; shapes are checked first."""
+    chunks = _matrix_chunks(labels, matrices, comments)
+    with open(path, "wb") as out:
+        out.writelines(chunks)
 
 
 def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
@@ -242,9 +287,11 @@ def render_risk_table(labels: Sequence[int], r_matrix: np.ndarray) -> str:
 
     The self column carries the diagonal convention 0.
     """
-    header = "node," + ",".join(str(label) for label in labels)
-    row_format = f"%s,{_row_format(r_matrix.shape[1])}"
-    lines = [header]
-    lines.extend(row_format % (label, *r_matrix[index].tolist())
-                 for index, label in enumerate(labels))
-    return "\n".join(lines) + "\n"
+    return b"".join(_risk_chunks(labels, r_matrix)).decode()
+
+
+def write_risk_table(path: str | Path, labels: Sequence[int], r_matrix: np.ndarray) -> None:
+    """Stream render_risk_table(labels, r_matrix) to path; R's shape is checked first."""
+    chunks = _risk_chunks(labels, r_matrix)
+    with open(path, "wb") as out:
+        out.writelines(chunks)

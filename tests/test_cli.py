@@ -195,9 +195,10 @@ class TestSimulate:
 # SHA-256 of each output, and the stdout tally, for fixed command lines.  "beta" and
 # "average" run simulate --nodes 60 --edge-prob 0.5 --seed 11 --var 0.05 --appetite 0.1
 # (p < 1, all five decisions and both fusion error kinds); their hashes were recorded
-# from the per-edge object implementation.  The others pin the two fixed reference
-# gates: the seed-196 scenario and the bundled three-node network, which reaches
-# reproduce-table1 through the document loader.
+# from the per-edge object implementation.  "dense-501" is the benchmark's
+# simulate-dense scenario: its 300-row sections span several render blocks.  The
+# others pin the two fixed reference gates: the seed-196 scenario and the bundled
+# three-node network, which reaches reproduce-table1 through the document loader.
 EMPTY = hashlib.sha256(b"").hexdigest()
 SCENARIO_60 = ("simulate", "--nodes", "60", "--edge-prob", "0.5", "--seed", "11",
                "--var", "0.05", "--appetite", "0.1")
@@ -218,6 +219,14 @@ GOLDEN = {
          "stderr": EMPTY},
         {"edges": "1774", "AcceptDirect": "897", "AcceptIndirect": "284",
          "AcceptCombined": "0", "AcceptWithRisk": "27", "Decline": "566", "errors": "0"},
+    ),
+    "dense-501": (
+        ("simulate", "--nodes", "300", "--edge-prob", "1.0", "--seed", "501"),
+        {"matrices.csv": "d74e58d799da8edb385de2877376a8055bb15612c62a4a70a4b9df217a674192",
+         "risk_series.csv": "af462368cb3a8c657e51b85fab636ec640a7af00e5091b8d770b238020a519f9",
+         "stderr": "c3598e207a46724bb4cbb1b464372924f2176250a3dae89c9d4be2c98cc36a42"},
+        {"edges": "89700", "AcceptDirect": "44872", "AcceptIndirect": "15050",
+         "AcceptCombined": "51", "AcceptWithRisk": "0", "Decline": "28111", "errors": "1616"},
     ),
     "seed196-beta": (
         (*SEED_196, "--method", "beta"),

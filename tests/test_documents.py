@@ -6,9 +6,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betatrust import (
     Edge,
+    Network,
     NetworkDocumentError,
     RiskAppetite,
     ScenarioConfig,
@@ -25,10 +29,46 @@ from betatrust.documents import (
     document_to_network,
     load_bundled_three_node,
     network_to_document,
+    write_matrices,
+    write_risk_table,
 )
 
 # guards the transcription of the bundled reference network
 THREE_NODE_SHA256 = "53c763ede7bfe3566daa4b2c9f69844bcbb99a6e9ca6951049c882cabfacdb95"
+
+
+def expected_tables(labels, matrices, comments=()):
+    """The matrix and risk tables formatted one value at a time with f"{v:.4f}"."""
+    labels_line = ",".join(map(str, labels))
+    table = ["# trust matrices v1", *(f"# {comment}" for comment in comments),
+             "labels," + labels_line]
+    for name in "TABCR":
+        table.append(name)
+        table.extend(",".join(f"{v:.4f}" for v in row) for row in matrices[name])
+    risk = ["node," + labels_line]
+    risk.extend(f"{label}," + ",".join(f"{v:.4f}" for v in row)
+                for label, row in zip(labels, matrices["R"]))
+    return "\n".join(table) + "\n", "\n".join(risk) + "\n"
+
+
+def assert_tables_match_the_format_spec(tmp_path, labels, matrices, comments=()):
+    """render_* and write_* both give exactly the per-value tables."""
+    table, risk = expected_tables(labels, matrices, comments)
+    assert render_matrices(labels, matrices, comments) == table
+    assert render_risk_table(labels, matrices["R"]) == risk
+    write_matrices(tmp_path / "matrices.csv", labels, matrices, comments)
+    write_risk_table(tmp_path / "risk_series.csv", labels, matrices["R"])
+    assert (tmp_path / "matrices.csv").read_bytes() == table.encode()
+    assert (tmp_path / "risk_series.csv").read_bytes() == risk.encode()
+
+
+def rounding_boundaries():
+    """Values in [0, 1] at and beside the places where "%.4f" rounds up."""
+    halves = np.arange(1, 32, 2) / 32  # the only x with x * 1e4 exactly a half-integer
+    ties = (np.arange(10_000) + 0.5) / 1e4
+    centres = np.concatenate((halves, ties, [0.99995]))
+    neighbours = (np.nextafter(centres, 0.0), np.nextafter(centres, 1.0))
+    return np.concatenate((centres, *neighbours, [0.0, 1.0, 5e-324, 1 - 2**-53]))
 
 
 def minimal_document():
@@ -262,20 +302,102 @@ class TestMatrixTable:
         assert first[1] == "0.0000"  # self cell carries the diagonal convention
         assert first[3] == "0.1088"  # risk of edge 1->3 to 4 decimals
 
-    def test_rendering_matches_the_format_spec_per_value(self):
+    def test_rendering_matches_the_format_spec_per_value(self, tmp_path):
         # ties at the fourth decimal, signed zero, tiny and large values
         rng = np.random.default_rng(5)
         specials = [0.0, -0.0, 0.00005, 0.00015, 0.12345, 0.99995, 1.0, 5e-324, 1e-300,
                     12345.678, -0.25, 0.1234499999999999, math.pi]
         values = np.concatenate((specials, rng.random(12 * 12 * 5 - len(specials))))
         matrices = dict(zip("TABCR", rng.permutation(values).reshape(5, 12, 12)))
-        labels = list(range(1, 13))
-        expected = ["# trust matrices v1", "labels," + ",".join(map(str, labels))]
-        for name in "TABCR":
-            expected.append(name)
-            expected.extend(",".join(f"{v:.4f}" for v in row) for row in matrices[name])
-        assert render_matrices(labels, matrices) == "\n".join(expected) + "\n"
-        risk = ["node," + ",".join(map(str, labels))]
-        risk.extend(f"{label}," + ",".join(f"{v:.4f}" for v in row)
-                    for label, row in zip(labels, matrices["R"]))
-        assert render_risk_table(labels, matrices["R"]) == "\n".join(risk) + "\n"
+        assert_tables_match_the_format_spec(tmp_path, list(range(1, 13)), matrices)
+
+    @pytest.mark.parametrize("shape, labels", [((3, 3), [1, 2]), ((2, 5), [1, 2]),
+                                               ((2, 2), [1, 2, 3])])
+    def test_risk_table_rejects_a_matrix_of_another_shape(self, tmp_path, shape, labels):
+        message = re.escape(f"matrix R has shape {shape}, expected")
+        with pytest.raises(ValueError, match=message):
+            render_risk_table(labels, np.zeros(shape))
+        path = tmp_path / "risk_series.csv"
+        with pytest.raises(ValueError, match=message):
+            write_risk_table(path, labels, np.zeros(shape))
+        assert not path.exists()
+
+    def test_write_rejects_a_wrong_shape_before_opening_the_file(self, tmp_path):
+        matrices = {name: np.zeros((2, 2)) for name in "TABCR"}
+        matrices["R"] = np.zeros((2, 3))
+        path = tmp_path / "matrices.csv"
+        with pytest.raises(ValueError, match=re.escape("matrix R has shape (2, 3)")):
+            write_matrices(path, [1, 2], matrices)
+        assert not path.exists()
+
+
+class TestFixedWidthRendering:
+    """Blocks of values in [0, 1] are cut from a cell table, not formatted one by one."""
+
+    def test_rounding_boundaries(self, tmp_path):
+        values = rounding_boundaries()
+        # the data must hold cells where rounding fl(x * 1e4) differs from "%.4f"
+        naive = ["%d.%04d" % divmod(int(k), 10_000) for k in np.rint(values * 1e4)]
+        assert sum(n != f"{v:.4f}" for n, v in zip(naive, values)) > 1000
+        n = math.isqrt(len(values) - 1) + 1
+        rng = np.random.default_rng(11)
+        padded = np.concatenate((values, rng.random(n * n - len(values))))
+        matrices = {name: rng.permutation(padded).reshape(n, n) for name in "TABCR"}
+        assert_tables_match_the_format_spec(tmp_path, list(range(1, n + 1)), matrices)
+
+    def test_general_block_between_fixed_width_blocks(self, tmp_path):
+        rng = np.random.default_rng(23)
+        # transposed, so that every block is a non-contiguous view
+        matrices = {name: rng.random((150, 150)).T for name in "TABCR"}
+        for matrix in matrices.values():  # rows 64..127 form the middle block of three
+            matrix[70, 3], matrix[80, 100], matrix[127, 149] = -0.0, math.nan, 1.5
+            matrix[0, 0], matrix[149, 149] = 0.00015, 0.99995
+        assert_tables_match_the_format_spec(tmp_path, list(range(1, 151)), matrices,
+                                            comments=["combiner: beta"])
+
+    @pytest.mark.parametrize("special", [-0.0, math.nan, math.inf, 1.5, 1.00005, 1.99995,
+                                         -1e-300, -0.5])
+    def test_one_value_outside_the_unit_interval(self, tmp_path, special):
+        # the only value of its block that a 6-byte cell cannot hold
+        matrices = {name: np.full((3, 3), 0.25) for name in "TABCR"}
+        matrices["C"][1, 2] = matrices["R"][2, 0] = special
+        assert_tables_match_the_format_spec(tmp_path, [1, 2, 3], matrices)
+
+    def test_non_float_matrices_keep_the_format_spec(self, tmp_path):
+        matrices = {name: np.eye(2, dtype=int) for name in "TAB"}
+        matrices["C"] = np.array([[0.5, True], [False, 0.25]], dtype=object)
+        matrices["R"] = np.array([[0, 1], [1, 0]], dtype=bool)
+        assert_tables_match_the_format_spec(tmp_path, [1, 2], matrices)
+        matrices["R"] = np.array([["0.5", "0"], ["0", "0"]])
+        with pytest.raises(TypeError):
+            render_risk_table([1, 2], matrices["R"])
+
+    @pytest.mark.parametrize("network", [
+        pytest.param(Network(1, [], [], [], [], [], [], [], [0.0]), id="n=1"),
+        pytest.param(generate_network(ScenarioConfig(seed=3, node_count=7,
+                                                     edge_probability=0.0)), id="edgeless"),
+        pytest.param(load_bundled_three_node(), id="three-node"),
+    ])
+    def test_written_files_equal_the_rendered_strings(self, tmp_path, network):
+        result = run_assessment(network)
+        labels = list(range(1, network.node_count + 1))
+        matrices = result.as_matrix_dict()
+        write_matrices(tmp_path / "matrices.csv", labels, matrices, ["combiner: beta"])
+        write_risk_table(tmp_path / "risk_series.csv", labels, result.r_matrix)
+        assert (tmp_path / "matrices.csv").read_bytes() == render_matrices(
+            labels, matrices, ["combiner: beta"]).encode()
+        assert (tmp_path / "risk_series.csv").read_bytes() == render_risk_table(
+            labels, result.r_matrix).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6)).map(lambda n: (5, n[0], n[0])),
+                      elements=st.one_of(
+                          st.floats(0.0, 1.0),
+                          st.integers(0, 9_999).map(lambda k: (k + 0.5) / 1e4),
+                          st.sampled_from([-0.0, math.nan, 1.0 + 2**-52, 1.5, -5e-324]))))
+    def test_any_matrix_matches_the_format_spec(self, stack):
+        labels = list(range(1, stack.shape[1] + 1))
+        matrices = dict(zip("TABCR", stack))
+        table, risk = expected_tables(labels, matrices)
+        assert render_matrices(labels, matrices) == table
+        assert render_risk_table(labels, matrices["R"]) == risk
