@@ -47,6 +47,20 @@ class Decision(Enum):
         )
 
 
+# Decisions in outcome-code order; code -1 marks an edge that failed.
+DECISIONS = tuple(Decision)
+FAILED = -1
+
+
+def fused_code(risk, appetite):
+    """Code in DECISIONS of a request that reached C, for floats or arrays alike.
+
+    Relies on risk = max(0, T - C) >= 0 and on DECISIONS holding ACCEPT_COMBINED
+    (no shortfall), ACCEPT_WITH_RISK (within appetite) and DECLINE at 2, 3 and 4.
+    """
+    return 2 + (risk > 0.0) + (risk > appetite)
+
+
 @dataclass(frozen=True)
 class RiskAppetite:
     """Maximum risk a node is willing to take when trust falls short.
@@ -96,14 +110,12 @@ def evaluate_request(
     """Run the A -> B -> C short-circuit chain for one job request.
 
     Acceptance via A or B leaves combined absent and risk 0.  Otherwise
-    the combiner produces C, risk becomes max(0, required - C), and the
-    outcome is ACCEPT_COMBINED (no shortfall), ACCEPT_WITH_RISK
-    (shortfall within appetite) or DECLINE.
+    the combiner produces C, risk becomes max(0, required - C), and
+    fused_code picks the outcome.
 
     Every failure is a TrustError: fusion errors from the combiner
     propagate unchanged, and a combined value outside [0, 1] (NaN and
-    infinities included) raises RangeError.  Batch callers attach edge
-    identification (see netsim.run_assessment).
+    infinities included) raises RangeError.
     """
     _check_unit_interval("required", required)
     if direct.mean >= required:
@@ -112,13 +124,7 @@ def evaluate_request(
         return TrustRecord(None, 0.0, Decision.ACCEPT_INDIRECT)
     combined = combiner(direct, indirect)
     risk = risk_value(required, combined)
-    if risk == 0.0:
-        decision = Decision.ACCEPT_COMBINED
-    elif risk <= appetite.max_acceptable_risk:
-        decision = Decision.ACCEPT_WITH_RISK
-    else:
-        decision = Decision.DECLINE
-    return TrustRecord(combined, risk, decision)
+    return TrustRecord(combined, risk, DECISIONS[fused_code(risk, appetite.max_acceptable_risk)])
 
 
 def average_combiner(direct: TrustEstimate, indirect: TrustEstimate) -> float:

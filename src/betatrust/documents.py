@@ -170,13 +170,11 @@ def network_to_document(network: Network) -> dict[str, Any]:
 def load_network(path: str | Path) -> Network:
     """Load and validate a network document file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise NetworkDocumentError(str(exc), str(path)) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise NetworkDocumentError(f"not valid JSON: {exc}", str(path)) from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise NetworkDocumentError(str(exc), str(path)) from exc
     return document_to_network(doc)
 
 
@@ -188,8 +186,8 @@ def save_network(network: Network, path: str | Path) -> None:
 
 def load_bundled_three_node() -> Network:
     """Load the three-node reference network shipped inside the package."""
-    text = resources.files("betatrust").joinpath("data", THREE_NODE_RESOURCE).read_text("utf-8")
-    return document_to_network(json.loads(text))
+    with resources.as_file(resources.files("betatrust") / "data" / THREE_NODE_RESOURCE) as path:
+        return load_network(path)
 
 
 def _square(name: str, matrix: np.ndarray, n: int) -> np.ndarray:

@@ -7,13 +7,13 @@ matrices (1 for A, B, C and 0 for T, R) and never enters a calculation.
 
 A Network is a columnar edge table: one numpy array per edge field, in
 row-major (i, j) order, plus one appetite per node.  Its one constructor
-takes those columns; generate_network and the document loader fill them
-without making an Edge.  Edges are evaluated independently of each
-other, so run_assessment decides all of them with array expressions
-over those columns.  The scalar evaluate_request runs only to give C or
-name the error on the edges that the combiner's column form leaves
-without a C (on all that reach C, for a combiner that has none).  The
-result keeps only C, R and the outcomes; T, A and B stay in the network.
+takes and checks those columns; generate_network and the document loader
+fill them, and an Edge is only read back from them.  Edges are evaluated
+independently, so run_assessment decides all of them with array
+expressions; the scalar combiner gives C or names the error only on the
+edges that its column form leaves without a C (on all that reach C, for
+a combiner that has none).  The result keeps only C, R and the outcomes;
+T, A and B stay in the network.
 """
 from __future__ import annotations
 
@@ -26,13 +26,15 @@ import numpy as np
 
 from .decision import (
     COLUMN_COMBINERS,
+    DECISIONS,
+    FAILED,
     Combiner,
     Decision,
     RiskAppetite,
     combined_trust,
-    evaluate_request,
+    fused_code,
 )
-from .errors import ConfigurationError, TrustError
+from .errors import ConfigurationError, InvalidVarianceError, RangeError, TrustError
 from .fusion import DEFAULT_VARIANCE, TrustEstimate, _check_unit_interval
 
 # Committed seed of the fifteen-node reference experiment.  Chosen once
@@ -47,16 +49,19 @@ EDGE_COLUMNS = ("required", "direct_mean", "direct_variance", "indirect_mean", "
 DRAW_CHUNK = 1 << 16
 
 
+def _check_integer(name: str, value) -> None:
+    # numpy would read True as 1, and reject 1.5 only when generating
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
-    """Trust data of one directed edge: requirement and the two sources."""
+    """Trust data of one directed edge, read back from a Network's columns."""
 
     required: float
     direct: TrustEstimate
     indirect: TrustEstimate
-
-    def __post_init__(self) -> None:
-        _check_unit_interval("required", self.required)
 
 
 class EdgeView(Mapping):
@@ -72,12 +77,19 @@ class EdgeView(Mapping):
         return zip(self._network.src.tolist(), self._network.dst.tolist())
 
     def __getitem__(self, key) -> Edge:
-        index = self._network._edge_index(key)
-        if index is None:
+        network, n = self._network, self._network.node_count
+        try:
+            i, j = key
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise KeyError(key)
+            cell = (i - 1) * n + (j - 1)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        index = int(np.searchsorted(network.cell, cell))
+        if index == len(network.cell) or network.cell[index] != cell:
             raise KeyError(key)
         required, direct_mean, direct_var, indirect_mean, indirect_var = (
-            float(getattr(self._network, name)[index]) for name in EDGE_COLUMNS
-        )
+            float(getattr(network, name)[index]) for name in EDGE_COLUMNS)
         return Edge(required, TrustEstimate(direct_mean, direct_var),
                     TrustEstimate(indirect_mean, indirect_var))
 
@@ -91,9 +103,11 @@ class Network:
     node_count + dst - 1 of the edge's cell in an n x n matrix.  max_risk
     holds the appetite of node i at index i - 1.
 
-    The constructor takes the columns in any edge order, validates them as
-    Edge and RiskAppetite validate one value, and stores copies, so the
-    caller's arrays stay writable.  edges reads them back as a mapping.
+    The constructor takes the columns in any edge order and stores
+    copies, so the caller's arrays stay writable.  A float value must lie
+    in [0, 1] (RangeError), a variance be positive (InvalidVarianceError);
+    the error names the column and the first edge or node breaking it.
+    edges reads the columns back as a mapping.
     """
 
     def __init__(
@@ -109,6 +123,7 @@ class Network:
         max_risk: np.ndarray,
     ) -> None:
         n = node_count
+        _check_integer("node_count", n)
         if n < 1:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
         columns = [np.asarray(column) for column in (
@@ -131,20 +146,17 @@ class Network:
             if i == j:
                 raise ConfigurationError(f"self-edge ({i}, {j}) is not allowed")
             raise ConfigurationError(f"edge ({i}, {j}) endpoint out of range 1..{n}")
-        required, direct_mean, direct_var, indirect_mean, indirect_var = columns
-        unit = [(column >= 0.0) & (column <= 1.0)
-                for column in (required, direct_mean, indirect_mean)]
-        bad = ~(unit[0] & unit[1] & unit[2] & (direct_var > 0.0) & (indirect_var > 0.0))
-        if bad.any():
-            # the scalar constructors raise the error of the first bad edge
-            k = bad.argmax()
-            Edge(float(required[k]), TrustEstimate(float(direct_mean[k]), float(direct_var[k])),
-                 TrustEstimate(float(indirect_mean[k]), float(indirect_var[k])))
         if len(max_risk) != n:
             raise ConfigurationError(f"max_risk has {len(max_risk)} entries, expected {n}")
-        bad = ~((max_risk >= 0.0) & (max_risk <= 1.0))
-        if bad.any():
-            RiskAppetite(float(max_risk[bad.argmax()]))
+        for name, column in zip((*EDGE_COLUMNS, "max_risk"), (*columns, max_risk)):
+            if name.endswith("variance"):
+                error, rule, ok = InvalidVarianceError, "be positive", column > 0.0
+            else:
+                error, rule, ok = RangeError, "lie in [0, 1]", (column >= 0.0) & (column <= 1.0)
+            if not ok.all():  # NaN breaks either rule
+                k = int(ok.argmin())
+                where = f"node {k + 1}" if name == "max_risk" else f"edge ({src[k]}, {dst[k]})"
+                raise error(f"{where}: {name} must {rule}, got {float(column[k])!r}")
         cell = (src - 1) * n + (dst - 1)
         if np.any(cell[1:] <= cell[:-1]):
             order = np.argsort(cell, kind="stable")
@@ -170,18 +182,6 @@ class Network:
         if not 1 <= node <= self.node_count:
             raise KeyError(node)
         return RiskAppetite(float(self.max_risk[node - 1]))
-
-    def _edge_index(self, key) -> int | None:
-        """Row of edge key = (i, j) in the columns, or None if it is absent."""
-        try:
-            i, j = key
-            if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
-                return None
-            cell = (i - 1) * self.node_count + (j - 1)
-        except (TypeError, ValueError):
-            return None
-        index = int(np.searchsorted(self.cell, cell))
-        return index if index < len(self.cell) and self.cell[index] == cell else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -214,10 +214,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("seed", "node_count"):
-            value = getattr(self, name)
-            # numpy would read True as 1, and reject 1.5 only when generating
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.node_count < 2:
@@ -244,12 +241,6 @@ class EdgeError:
     to_node: int
     kind: str
     message: str
-
-
-# Decisions in outcome-code order; code -1 marks an edge that failed.
-DECISIONS = tuple(Decision)
-FAILED = -1
-_CODE = {decision: code for code, decision in enumerate(DECISIONS)}
 
 
 def _matrix(n: int, diagonal: float, cell: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -329,32 +320,27 @@ def generate_network(config: ScenarioConfig) -> Network:
     uniform each for the required trust, the direct mean and the
     indirect mean.
 
-    The uniforms are taken DRAW_CHUNK at a time; rng.random(k) gives
-    the same values as k calls of rng.random(), so walking the chunks
-    consumes them in exactly the order above.
+    The uniforms are taken at most DRAW_CHUNK at a time, and each chunk
+    starts on an edge record.  rng.random(k) followed by rng.random(m)
+    gives the same values as rng.random(k + m), so a chunk whose last
+    record runs past its end draws the missing values at once, and the
+    chunks consume the uniforms in exactly the order above.
     """
     n = config.node_count
     pairs = n * (n - 1)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (pair index, three values) per chunk
-    done = 0  # pairs whose draws are walked
-    carry = np.empty(0)  # an edge record cut off by the end of the last chunk
+    done = 0  # pairs whose draws are taken
     while done < pairs:
-        draws = np.concatenate((carry, rng.random(min(DRAW_CHUNK, pairs - done))))
+        draws = rng.random(min(DRAW_CHUNK, pairs - done))
         starts = _edge_starts(draws, config.edge_probability)
+        if len(starts) and starts[-1] + 4 > len(draws):
+            draws = np.concatenate((draws, rng.random(starts[-1] + 4 - len(draws))))
         # pair index of each edge in the chunk: every earlier pair took one
         # draw, every earlier edge three more
-        pair = starts - 3 * np.arange(len(starts))
-        keep = pair < pairs - done
-        starts, pair = starts[keep], pair[keep]
-        if len(starts) and starts[-1] + 3 >= len(draws):
-            # the last edge's values run past the chunk: walk it again with the next
-            carry, walked = draws[starts[-1]:], pair[-1]
-            starts, pair = starts[:-1], pair[:-1]
-        else:
-            carry, walked = draws[:0], len(draws) - 3 * len(starts)
-        found.append((done + pair, draws[starts[:, None] + np.arange(1, 4)]))
-        done = min(done + walked, pairs)
+        found.append((done + starts - 3 * np.arange(len(starts)),
+                      draws[starts[:, None] + np.arange(1, 4)]))
+        done += len(draws) - 3 * len(starts)
     pair = np.concatenate([pair for pair, _ in found])
     values = np.concatenate([values for _, values in found]).reshape(-1, 3)
     src, rest = np.divmod(pair, n - 1)
@@ -372,24 +358,25 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
 
     The evaluating node of edge (i, j) is i, so its appetite applies.
     Every edge ends in exactly one of decisions and errors, with the
-    outcome evaluate_request gives it.  A TrustError on one edge (a
-    fusion failure, or a combiner value outside [0, 1]) poisons only that
-    edge: its C and R cells stay 0, no decision is recorded, and an
+    outcome the scalar decision chain gives it.  A TrustError on one edge
+    (a fusion failure, or a combiner value outside [0, 1]) poisons only
+    that edge: its C and R cells stay 0, no decision is recorded, and an
     EdgeError named after the exception class is appended while the
     remaining edges proceed.
 
     A combiner listed in COLUMN_COMBINERS gives C for all edges that
-    reach it at once.  evaluate_request then runs once on each of those
-    edges left without a C in [0, 1] (all of them, for any other
+    reach it at once.  The scalar combiner then runs once on each of
+    those edges left without a C in [0, 1] (all of them, for any other
     combiner), only to supply that C or to raise the edge's error.  One
-    array pass sets R and the decision of every edge that has a C.
+    array pass sets R and, through fused_code, the decision of every
+    edge that has a C.
     """
     required = network.required
     outcome = np.full(len(required), FAILED, dtype=np.int8)
     direct = network.direct_mean >= required
     indirect = ~direct & (network.indirect_mean >= required)
-    outcome[direct] = _CODE[Decision.ACCEPT_DIRECT]
-    outcome[indirect] = _CODE[Decision.ACCEPT_INDIRECT]
+    outcome[direct] = DECISIONS.index(Decision.ACCEPT_DIRECT)
+    outcome[indirect] = DECISIONS.index(Decision.ACCEPT_INDIRECT)
     fused = np.flatnonzero(~direct & ~indirect)
     columns = COLUMN_COMBINERS.get(combiner)
     value = np.full(len(fused), np.nan) if columns is None else columns(
@@ -398,24 +385,23 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     valid = (value >= 0.0) & (value <= 1.0)  # False for NaN
     errors: list[EdgeError] = []
     missing = np.flatnonzero(~valid)
-    for k, i, j, need, direct_mean, direct_var, indirect_mean, indirect_var in zip(
+    for k, i, j, direct_mean, direct_var, indirect_mean, indirect_var in zip(
         missing.tolist(), *(column[fused[missing]].tolist() for column in (
-            network.src, network.dst, required, network.direct_mean, network.direct_variance,
+            network.src, network.dst, network.direct_mean, network.direct_variance,
             network.indirect_mean, network.indirect_variance))
     ):
         try:
-            value[k] = evaluate_request(need, TrustEstimate(direct_mean, direct_var),
-                                        TrustEstimate(indirect_mean, indirect_var),
-                                        combiner=combiner).combined
-            valid[k] = True
+            achieved = combiner(TrustEstimate(direct_mean, direct_var),
+                                TrustEstimate(indirect_mean, indirect_var))
+            # checked as returned: stored first, a NaN would read np.float64(nan)
+            _check_unit_interval("achieved", achieved)
         except TrustError as exc:
             errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
+        else:
+            value[k], valid[k] = achieved, True
     decided, value = fused[valid], value[valid]
     risk = np.maximum(required[decided] - value, 0.0)
-    outcome[decided] = np.where(
-        risk == 0.0, _CODE[Decision.ACCEPT_COMBINED],
-        np.where(risk <= network.max_risk[network.src[decided] - 1],
-                 _CODE[Decision.ACCEPT_WITH_RISK], _CODE[Decision.DECLINE]))
+    outcome[decided] = fused_code(risk, network.max_risk[network.src[decided] - 1])
     n, cell = network.node_count, network.cell[decided]
     return AssessmentResult(network, _matrix(n, 1.0, cell, value), _matrix(n, 0.0, cell, risk),
                             outcome, errors)

@@ -235,9 +235,26 @@ class TestNetworkDocument:
         with pytest.raises(NetworkDocumentError, match="not valid JSON"):
             load_network(path)
 
+    @pytest.mark.parametrize("data", [
+        '{"note": "café"}'.encode("latin-1"),  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the parser recurses
+    ], ids=["latin-1", "nested"])
+    def test_unreadable_document_names_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(NetworkDocumentError, match="not valid JSON") as info:
+            load_network(path)
+        assert info.value.where == str(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(NetworkDocumentError):
             load_network(tmp_path / "absent.json")
+
+    def test_path_with_nul_byte(self, tmp_path):
+        path = tmp_path / "nul\0.json"
+        with pytest.raises(NetworkDocumentError, match="null byte") as info:
+            load_network(path)
+        assert info.value.where == str(path)
 
 
 class TestMatrixTable:

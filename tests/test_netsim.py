@@ -222,10 +222,24 @@ class TestColumns:
     @pytest.mark.parametrize("change, error, message", [
         ({"src": 2}, ConfigurationError, "self-edge (2, 2) is not allowed"),
         ({"dst": 4}, ConfigurationError, "edge (1, 4) endpoint out of range 1..3"),
-        ({"required": 1.5}, RangeError, "required must lie in [0, 1], got 1.5"),
-        ({"direct_mean": -0.5}, RangeError, "mean must lie in [0, 1], got -0.5"),
-        ({"indirect_variance": 0.0}, InvalidVarianceError, "variance must be positive, got 0.0"),
-        ({"max_risk": 2.0}, RangeError, "max_acceptable_risk must lie in [0, 1], got 2.0"),
+        ({"required": 1.5}, RangeError, "edge (1, 2): required must lie in [0, 1], got 1.5"),
+        ({"direct_mean": -0.5}, RangeError,
+         "edge (1, 2): direct_mean must lie in [0, 1], got -0.5"),
+        ({"indirect_variance": 0.0}, InvalidVarianceError,
+         "edge (1, 2): indirect_variance must be positive, got 0.0"),
+        ({"max_risk": 2.0}, RangeError, "node 2: max_risk must lie in [0, 1], got 2.0"),
+        ({"src": [1, 2], "dst": [2, 3], "indirect_mean": [0.5, -0.5]}, RangeError,
+         "edge (2, 3): indirect_mean must lie in [0, 1], got -0.5"),
+        ({"direct_variance": math.nan}, InvalidVarianceError,
+         "edge (1, 2): direct_variance must be positive, got nan"),
+        ({"max_risk": [0.0, 0.0, -0.25]}, RangeError,
+         "node 3: max_risk must lie in [0, 1], got -0.25"),
+        # columns are checked in EDGE_COLUMNS order, each from its first edge
+        ({"required": [0.5, 1.5], "indirect_mean": [-0.5, 0.3]}, RangeError,
+         "edge (1, 2): required must lie in [0, 1], got 1.5"),
+        # a node count that numpy would read as 1, or take only until it indexes
+        ({"node_count": 2.0}, ConfigurationError, "node_count must be an integer, got 2.0"),
+        ({"node_count": True}, ConfigurationError, "node_count must be an integer, got True"),
         # endpoints that an integer cast would truncate or read as node 1
         ({"src": 1.9, "dst": 2.2}, ConfigurationError,
          "src must hold integer node ids, got float64"),
@@ -247,7 +261,7 @@ class TestColumns:
         ({"max_risk": [False, True, False]}, ConfigurationError,
          "max_risk must hold numbers, got bool"),
     ])
-    def test_column_errors_match_the_edge_constructors(self, change, error, message):
+    def test_column_errors_name_the_column_and_edge(self, change, error, message):
         # a value sets the second edge's entry, a list the whole column
         fields = {"src": 1, "dst": 2, "required": 0.5, "direct_mean": 0.4,
                   "direct_variance": 0.01, "indirect_mean": 0.3, "indirect_variance": 0.01,
@@ -257,8 +271,13 @@ class TestColumns:
                                           (1, 3, 0.5, 0.5, 0.5, 0.5, 0.5))]
         max_risk = change.get("max_risk", 0.0)
         with pytest.raises(error) as info:
-            Network(3, *columns, max_risk if isinstance(max_risk, list) else [0.0, max_risk, 0.0])
+            Network(change.get("node_count", 3), *columns,
+                    max_risk if isinstance(max_risk, list) else [0.0, max_risk, 0.0])
         assert str(info.value) == message
+
+    def test_numpy_node_count_is_accepted(self):
+        network = self.network()
+        assert Network(np.int64(5), *self.columns(network), network.max_risk) == network
 
     def test_edges_view(self):
         network = self.network()
