@@ -61,7 +61,7 @@ def fused_code(risk, appetite):
     return 2 + (risk > 0.0) + (risk > appetite)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskAppetite:
     """Maximum risk a node is willing to take when trust falls short.
 
@@ -74,18 +74,27 @@ class RiskAppetite:
         _check_unit_interval("max_acceptable_risk", self.max_acceptable_risk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustRecord:
     """Outcome of one job request: combined trust, risk and decision.
 
     combined is None exactly when the decision short-circuited before
     the combined-trust step; serialisers render the absent value as 0.
     risk is 0 unless the chain reached C.
+
+    A record is immutable and holds only immutable values, so the two
+    short-circuit outcomes are each one shared record: compare records
+    with ==, not is.
     """
 
     combined: Optional[float]
     risk: float
     decision: Decision
+
+
+# The record of every request accepted by A, and of every one accepted by B.
+_ACCEPTED_DIRECT = TrustRecord(None, 0.0, Decision.ACCEPT_DIRECT)
+_ACCEPTED_INDIRECT = TrustRecord(None, 0.0, Decision.ACCEPT_INDIRECT)
 
 
 def risk_value(required: float, achieved: float) -> float:
@@ -109,19 +118,20 @@ def evaluate_request(
 ) -> TrustRecord:
     """Run the A -> B -> C short-circuit chain for one job request.
 
-    Acceptance via A or B leaves combined absent and risk 0.  Otherwise
-    the combiner produces C, risk becomes max(0, required - C), and
-    fused_code picks the outcome.
+    Acceptance via A or B leaves combined absent and risk 0, and returns
+    the one shared record of that outcome without building a new one.
+    Otherwise the combiner produces C, risk becomes max(0, required - C),
+    fused_code picks the outcome, and the record is new.
 
     Every failure is a TrustError: fusion errors from the combiner
     propagate unchanged, and a combined value outside [0, 1] (NaN and
-    infinities included) raises RangeError.
+    infinities included) or a bool raises RangeError.
     """
     _check_unit_interval("required", required)
     if direct.mean >= required:
-        return TrustRecord(None, 0.0, Decision.ACCEPT_DIRECT)
+        return _ACCEPTED_DIRECT
     if indirect.mean >= required:
-        return TrustRecord(None, 0.0, Decision.ACCEPT_INDIRECT)
+        return _ACCEPTED_INDIRECT
     combined = combiner(direct, indirect)
     risk = risk_value(required, combined)
     return TrustRecord(combined, risk, DECISIONS[fused_code(risk, appetite.max_acceptable_risk)])

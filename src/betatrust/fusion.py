@@ -68,7 +68,8 @@ DEFAULT_VARIANCE = 0.01
 
 
 def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
+    # a bool would compare as 0 or 1; bool has no subclasses, so one type test
+    if type(value) is bool or not 0.0 <= value <= 1.0:
         raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -77,7 +78,7 @@ def clamp_mean(mean: float) -> float:
     return min(max(mean, MEAN_EPSILON), 1.0 - MEAN_EPSILON)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaParams:
     """Shape pair (alpha, beta) of a Beta distribution, both positive."""
 
@@ -91,15 +92,16 @@ class BetaParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustEstimate:
     """A trust value in [0, 1] together with the variance of the estimate.
 
-    The variance must be strictly positive.  Whether a Beta distribution
-    with this mean can have it (see moments_to_beta) is checked only when
-    the estimate is fused: a request accepted via A never inverts its
-    direct estimate, so a source at mean 1.0 with the default variance,
-    far above its clamped bound m*(1-m) of about 1e-6, still accepts.
+    The variance must be strictly positive, and neither value a bool.
+    Whether a Beta distribution with this mean can have it (see
+    moments_to_beta) is checked only when the estimate is fused: a
+    request accepted via A never inverts its direct estimate, so a source
+    at mean 1.0 with the default variance, far above its clamped bound
+    m*(1-m) of about 1e-6, still accepts.
     """
 
     mean: float
@@ -107,13 +109,13 @@ class TrustEstimate:
 
     def __post_init__(self) -> None:
         _check_unit_interval("mean", self.mean)
-        if not self.variance > 0.0:
+        if type(self.variance) is bool or not self.variance > 0.0:
             raise InvalidVarianceError(
                 f"variance must be positive, got {self.variance!r}"
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusionWeights:
     """Weights (w_a, w_b) and normaliser k of the combined-trust sum.
 

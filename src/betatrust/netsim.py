@@ -55,7 +55,7 @@ def _check_integer(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Trust data of one directed edge, read back from a Network's columns."""
 
@@ -197,7 +197,7 @@ class Network:
         return f"Network(node_count={self.node_count}, edges={len(self.src)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """Deterministic recipe for a random network.
 
@@ -228,7 +228,7 @@ class ScenarioConfig:
         _check_unit_interval("max_acceptable_risk", self.max_acceptable_risk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeError:
     """A failure on one edge, reported without aborting the batch.
 
@@ -359,10 +359,10 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     The evaluating node of edge (i, j) is i, so its appetite applies.
     Every edge ends in exactly one of decisions and errors, with the
     outcome the scalar decision chain gives it.  A TrustError on one edge
-    (a fusion failure, or a combiner value outside [0, 1]) poisons only
-    that edge: its C and R cells stay 0, no decision is recorded, and an
-    EdgeError named after the exception class is appended while the
-    remaining edges proceed.
+    (a fusion failure, or a combiner value outside [0, 1] or a bool)
+    poisons only that edge: its C and R cells stay 0, no decision is
+    recorded, and an EdgeError named after the exception class is
+    appended while the remaining edges proceed.
 
     A combiner listed in COLUMN_COMBINERS gives C for all edges that
     reach it at once.  The scalar combiner then runs once on each of

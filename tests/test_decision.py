@@ -1,10 +1,11 @@
 """Tests for the decision chain: risk values, short-circuit order, updates."""
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from betatrust import Decision, RiskAppetite, TrustEstimate, evaluate_request
-from betatrust.decision import average_combiner, risk_value
+from betatrust import Decision, RiskAppetite, TrustError, TrustEstimate, evaluate_request
+from betatrust.decision import TrustRecord, average_combiner, risk_value
 
 # reference edge 1->3: combined and risk under variance 0.01 (50-digit script)
 COMBINED_13 = 0.6060471220991707
@@ -144,6 +145,91 @@ class TestEvaluateRequest:
             assert record.risk == max(0.0, required - record.combined)
         else:
             assert record.risk == 0.0
+
+
+class TestSharedShortCircuitRecords:
+    @pytest.mark.parametrize(
+        "decision, first, second",
+        [
+            (Decision.ACCEPT_DIRECT,
+             (0.4546, TrustEstimate(0.5133), TrustEstimate(0.7578)),
+             (0.9, TrustEstimate(1.0, 0.3), TrustEstimate(0.1), RiskAppetite(0.5))),
+            (Decision.ACCEPT_INDIRECT,
+             (0.5383, TrustEstimate(0.1610), TrustEstimate(0.5953)),
+             (0.9, TrustEstimate(0.0, 0.3), TrustEstimate(0.95), RiskAppetite(0.5))),
+        ],
+        ids=["direct", "indirect"],
+    )
+    def test_one_record_per_short_circuit_outcome(self, decision, first, second):
+        record = evaluate_request(*first)
+        assert evaluate_request(*second) is record
+        assert record == TrustRecord(None, 0.0, decision)
+
+    def test_fused_call_returns_a_new_record(self):
+        args = (0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445), RiskAppetite(0.2))
+        first, second = evaluate_request(*args), evaluate_request(*args)
+        assert first == second and first is not second
+        assert first.decision is Decision.ACCEPT_WITH_RISK
+
+
+def scalar_oracle(required, a, b, appetite, variance=0.01):
+    """(decision, combined, risk) of one request, or the name of its error.
+
+    Written out line by line from the paper's chain and the method of
+    moments, independently of the package.
+    """
+    if a >= required:
+        return "AcceptDirect", None, 0.0
+    if b >= required:
+        return "AcceptIndirect", None, 0.0
+    shapes = []
+    for mean in (a, b):
+        m = min(max(mean, 1e-6), 1.0 - 1e-6)
+        bound = m * (1.0 - m)
+        if variance >= bound or variance < bound * 2.0**-1022:
+            return "InvalidVarianceError"
+        alpha = m * (bound / variance - 1.0)
+        shapes.append((alpha, alpha * (1.0 - m) / m))
+    (alpha_a, beta_a), (alpha_b, beta_b) = shapes
+    alpha = alpha_a + alpha_b - 1.0
+    beta = beta_a + beta_b - 1.0
+    if alpha <= 0.0 or beta <= 0.0:
+        return "DegeneratePosteriorError"
+    combined = alpha / (alpha + beta)
+    if combined == 1.0:
+        combined = 1.0 - 2.0**-53
+    risk = required - combined if required - combined > 0.0 else 0.0
+    if risk == 0.0:
+        return "AcceptCombined", combined, risk
+    if risk <= appetite:
+        return "AcceptWithRisk", combined, risk
+    return "Decline", combined, risk
+
+
+def exact(row):
+    """A result row with each float as its hex form, so that -0.0 differs from 0.0."""
+    if isinstance(row, str):
+        return row
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+def test_evaluate_request_matches_the_scalar_oracle_bit_for_bit():
+    # the single-requests recipe: uniform T, A, B and appetite, default variance
+    columns = np.random.Generator(np.random.PCG64(501)).random((4, 20_000)).tolist()
+    seen = set()
+    for required, a, b, appetite in zip(*columns):
+        expected = scalar_oracle(required, a, b, appetite)
+        try:
+            record = evaluate_request(required, TrustEstimate(a), TrustEstimate(b),
+                                      RiskAppetite(appetite))
+        except TrustError as exc:
+            got = type(exc).__name__
+        else:
+            got = (record.decision.value, record.combined, record.risk)
+        assert exact(got) == exact(expected), (required, a, b, appetite)
+        seen.add(expected if isinstance(expected, str) else expected[0])
+    assert seen == {d.value for d in Decision} | {
+        "InvalidVarianceError", "DegeneratePosteriorError"}
 
 
 class TestReevaluationWithNewEstimates:
