@@ -124,8 +124,8 @@ def evaluate_request(
     fused_code picks the outcome, and the record is new.
 
     Every failure is a TrustError: fusion errors from the combiner
-    propagate unchanged, and a combined value outside [0, 1] (NaN and
-    infinities included) or a bool raises RangeError.
+    propagate unchanged, and a required or combined value that is not a
+    real number in [0, 1] (a bool and NaN included) raises RangeError.
     """
     _check_unit_interval("required", required)
     if direct.mean >= required:

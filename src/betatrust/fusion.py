@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -67,10 +68,18 @@ MEAN_EPSILON = 1e-6
 DEFAULT_VARIANCE = 0.01
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)  # bool compares as 0 or 1
+
+
 def _check_unit_interval(name: str, value: float) -> None:
-    # a bool would compare as 0 or 1; bool has no subclasses, so one type test
-    if type(value) is bool or not 0.0 <= value <= 1.0:
+    if not ((type(value) is float or _is_real(value)) and 0.0 <= value <= 1.0):
         raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_variance(name: str, value: float) -> None:
+    if not ((type(value) is float or _is_real(value)) and value > 0.0):
+        raise InvalidVarianceError(f"{name} must be positive, got {value!r}")
 
 
 def clamp_mean(mean: float) -> float:
@@ -96,12 +105,12 @@ class BetaParams:
 class TrustEstimate:
     """A trust value in [0, 1] together with the variance of the estimate.
 
-    The variance must be strictly positive, and neither value a bool.
-    Whether a Beta distribution with this mean can have it (see
-    moments_to_beta) is checked only when the estimate is fused: a
-    request accepted via A never inverts its direct estimate, so a source
-    at mean 1.0 with the default variance, far above its clamped bound
-    m*(1-m) of about 1e-6, still accepts.
+    The mean must be a real number in [0, 1] (RangeError), the variance
+    one above 0 (InvalidVarianceError); a bool or a str is neither.  Whether
+    a Beta with this mean can have the variance (see moments_to_beta) is
+    checked only when the estimate is fused: a request accepted via A
+    never inverts its direct estimate, so a source at mean 1.0 with the
+    default variance, far above its bound m*(1-m) of about 1e-6, accepts.
     """
 
     mean: float
@@ -109,10 +118,7 @@ class TrustEstimate:
 
     def __post_init__(self) -> None:
         _check_unit_interval("mean", self.mean)
-        if type(self.variance) is bool or not self.variance > 0.0:
-            raise InvalidVarianceError(
-                f"variance must be positive, got {self.variance!r}"
-            )
+        _check_variance("variance", self.variance)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,7 @@ from .decision import (
     fused_code,
 )
 from .errors import ConfigurationError, InvalidVarianceError, RangeError, TrustError
-from .fusion import DEFAULT_VARIANCE, TrustEstimate, _check_unit_interval
+from .fusion import DEFAULT_VARIANCE, TrustEstimate, _check_unit_interval, _check_variance
 
 # Committed seed of the fifteen-node reference experiment.  Chosen once
 # so that the scenario reproduces bit-identically on every platform; at
@@ -179,7 +179,9 @@ class Network:
         return EdgeView(self)
 
     def appetite_for(self, node: int) -> RiskAppetite:
-        if not 1 <= node <= self.node_count:
+        """The appetite of node 1..node_count; KeyError for anything else, a bool included."""
+        integer = type(node) is int or isinstance(node, Integral) and not isinstance(node, bool)
+        if not (integer and 1 <= node <= self.node_count):
             raise KeyError(node)
         return RiskAppetite(float(self.max_risk[node - 1]))
 
@@ -202,7 +204,8 @@ class ScenarioConfig:
     """Deterministic recipe for a random network.
 
     Identical configs yield identical networks; the seed and the draw
-    order documented in generate_network pin the entire experiment.
+    order documented in generate_network pin the entire experiment.  The
+    float fields follow TrustEstimate's value rules and errors.
     """
 
     seed: int
@@ -219,12 +222,9 @@ class ScenarioConfig:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.node_count < 2:
             raise ConfigurationError(f"node_count must be >= 2, got {self.node_count}")
-        if not 0.0 <= self.edge_probability <= 1.0:
-            raise ConfigurationError(
-                f"edge_probability must lie in [0, 1], got {self.edge_probability}"
-            )
-        if self.variance_direct <= 0.0 or self.variance_indirect <= 0.0:
-            raise ConfigurationError("variances must be positive")
+        _check_unit_interval("edge_probability", self.edge_probability)
+        _check_variance("variance_direct", self.variance_direct)
+        _check_variance("variance_indirect", self.variance_indirect)
         _check_unit_interval("max_acceptable_risk", self.max_acceptable_risk)
 
 
@@ -347,9 +347,9 @@ def generate_network(config: ScenarioConfig) -> Network:
     dst = rest + (rest >= src)
     return Network(
         n, src + 1, dst + 1, values[:, 0],
-        values[:, 1], np.full(len(pair), config.variance_direct),
-        values[:, 2], np.full(len(pair), config.variance_indirect),
-        np.full(n, config.max_acceptable_risk),
+        values[:, 1], np.full(len(pair), config.variance_direct, float),
+        values[:, 2], np.full(len(pair), config.variance_indirect, float),
+        np.full(n, config.max_acceptable_risk, float),
     )
 
 
@@ -359,7 +359,7 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
     The evaluating node of edge (i, j) is i, so its appetite applies.
     Every edge ends in exactly one of decisions and errors, with the
     outcome the scalar decision chain gives it.  A TrustError on one edge
-    (a fusion failure, or a combiner value outside [0, 1] or a bool)
+    (a fusion failure, or a combiner value not a real number in [0, 1])
     poisons only that edge: its C and R cells stay 0, no decision is
     recorded, and an EdgeError named after the exception class is
     appended while the remaining edges proceed.

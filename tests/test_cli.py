@@ -168,6 +168,12 @@ class TestSimulate:
         assert cp.stderr.startswith("betatrust simulate: max_acceptable_risk must lie in [0, 1]")
         assert "Traceback" not in cp.stderr
 
+    def test_invalid_variance_names_the_config_field(self, tmp_path):
+        cp = run_cli("simulate", "--nodes", "3", "--var", "nan", "--out", str(tmp_path / "x"))
+        assert cp.returncode == 1
+        assert cp.stderr == "betatrust simulate: variance_direct must be positive, got nan\n"
+        assert cp.stdout == "" and not (tmp_path / "x").exists()
+
     def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1

@@ -165,6 +165,33 @@ class TestNetworkDocument:
         with pytest.raises(NetworkDocumentError, match=re.escape(f"{message} must be finite")):
             document_to_network(doc)
 
+    @pytest.mark.parametrize("section, key, value, where, message", [
+        ("edge", "required", "0.5", "edges[0]", "field 'required' must be a number, got '0.5'"),
+        ("edge", "indirect_mean", None, "edges[0]",
+         "field 'indirect_mean' must be a number, got None"),
+        ("defaults", "variance", True, "defaults", "field 'variance' must be a number, got True"),
+        ("appetites", "2", [0.1], "appetites.2", "field 'appetite' must be a number, got [0.1]"),
+        ("edge", "direct_variance", 0.0, "edges[0]",
+         "field 'direct_variance' must be positive, got 0.0"),
+        ("defaults", "variance", -1, "defaults", "field 'variance' must be positive, got -1.0"),
+        ("edge", "direct_mean", ..., "edges[0]", "missing field 'direct_mean'"),
+        ("defaults", "max_acceptable_risk", 2, "defaults",
+         "field 'max_acceptable_risk' must lie in [0, 1], got 2.0"),
+        ("edge", "from", 1.0, "edges[0]", "field 'from' must be an integer node id"),
+        ("edge", "to", True, "edges[0]", "field 'to' must be an integer node id"),
+    ])
+    def test_invalid_field_named_with_its_path(self, section, key, value, where, message):
+        # value ... deletes the field
+        doc = minimal_document()
+        target = doc["edges"][0] if section == "edge" else doc.setdefault(section, {})
+        if value is ...:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(NetworkDocumentError) as info:
+            document_to_network(doc)
+        assert (info.value.where, str(info.value)) == (where, f"{where}: {message}")
+
     def test_infinity_in_file_rejected(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(
@@ -301,6 +328,23 @@ class TestMatrixTable:
         scrambled = text.replace("\nT\n", "\nX\n", 1)
         with pytest.raises(ValueError, match="expected section"):
             parse_matrices(scrambled)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + lines[3:], "matrix document must start with a labels line"),
+        (lambda lines: [], "matrix document must start with a labels line"),
+        (lambda lines: lines[:-1], "matrix document has the wrong number of lines"),
+        (lambda lines: lines + ["0.0000,0.0000,0.0000"],
+         "matrix document has the wrong number of lines"),
+        (lambda lines: [line.replace("0.0000,0.4546,", "0.4546,") for line in lines],
+         "section 'T' row has 2 cells, expected 3"),
+    ], ids=["no-labels", "empty", "line-missing", "line-extra", "short-row"])
+    def test_malformed_table_rejected(self, edit, message):
+        result = run_assessment(load_bundled_three_node())
+        lines = render_matrices([1, 2, 3], result.as_matrix_dict(), ["c"]).splitlines()
+        assert lines[:3] == ["# trust matrices v1", "# c", "labels,1,2,3"]
+        with pytest.raises(ValueError) as info:
+            parse_matrices("\n".join(edit(lines)) + "\n")
+        assert str(info.value) == message
 
     def test_wrong_shape_rejected(self):
         matrices = {name: np.zeros((2, 2)) for name in "TABCR"}

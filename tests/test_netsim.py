@@ -102,8 +102,9 @@ class TestScenarioConfig:
                 ScenarioConfig(seed=1, node_count=node_count, edge_probability=0.5)
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(RangeError) as info:
             ScenarioConfig(seed=1, node_count=3, edge_probability=1.2)
+        assert str(info.value) == "edge_probability must lie in [0, 1], got 1.2"
 
     def test_rejects_bad_seed(self):
         for seed in (-1, 2**64, 1.5, 1.0, True, np.bool_(True), None):
@@ -260,6 +261,10 @@ class TestColumns:
          "max_risk must hold numbers, got <U32"),
         ({"max_risk": [False, True, False]}, ConfigurationError,
          "max_risk must hold numbers, got bool"),
+        # a network needs a node, columns of one length and an appetite per node
+        ({"node_count": 0}, ConfigurationError, "node_count must be >= 1, got 0"),
+        ({"dst": [2]}, ConfigurationError, "edge columns differ in length"),
+        ({"max_risk": [0.0, 0.0]}, ConfigurationError, "max_risk has 2 entries, expected 3"),
     ])
     def test_column_errors_name_the_column_and_edge(self, change, error, message):
         # a value sets the second edge's entry, a list the whole column
@@ -304,9 +309,12 @@ class TestColumns:
 
     def test_appetite_for_unknown_node(self):
         network = self.network()
-        for node in (0, 6):
-            with pytest.raises(KeyError):
+        # numpy would index node 1 for a bool, and fail on a float or a str
+        for node in (0, 6, -1, 1.5, 2.0, "1", None, True, False, np.True_):
+            with pytest.raises(KeyError) as info:
                 network.appetite_for(node)
+            assert info.value.args == (node,)
+        assert network.appetite_for(np.int64(2)) == network.appetite_for(2)
 
 
 class TestFixtureAssessment:

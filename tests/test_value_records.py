@@ -1,8 +1,11 @@
-"""Tests for the value records: immutable, slotted, and strict about bools."""
+"""Tests for the value records: immutable, slotted, and strict about what a value is."""
 import copy
 import dataclasses
+import math
 import pickle
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from betatrust import (
     ScenarioConfig,
     TrustEstimate,
     evaluate_request,
+    generate_network,
     run_assessment,
 )
 from betatrust.decision import TrustRecord, risk_value
@@ -101,9 +105,17 @@ def _true_combiner(direct, indirect):
         (lambda: risk_value(0.5, False), RangeError, "achieved must lie in [0, 1], got False"),
         (lambda: beta_pdf(BetaParams(2.0, 3.0), True), RangeError,
          "x must lie in [0, 1], got True"),
+        (lambda: ScenarioConfig(seed=1, node_count=3, edge_probability=True), RangeError,
+         "edge_probability must lie in [0, 1], got True"),
+        (lambda: ScenarioConfig(seed=1, node_count=3, edge_probability=0.5,
+                                variance_indirect=True),
+         InvalidVarianceError, "variance_indirect must be positive, got True"),
+        (lambda: evaluate_request(np.True_, TrustEstimate(0.2), TrustEstimate(0.3)), RangeError,
+         f"required must lie in [0, 1], got {np.True_!r}"),
     ],
     ids=["mean-True", "mean-False", "variance-True", "appetite-True", "appetite-False",
-         "scenario-appetite", "required", "combiner", "risk_value", "beta_pdf"],
+         "scenario-appetite", "required", "combiner", "risk_value", "beta_pdf",
+         "scenario-edge_probability", "scenario-variance", "required-numpy-bool"],
 )
 def test_a_bool_is_not_a_trust_value(build, error, message):
     with pytest.raises(error) as caught:
@@ -125,3 +137,68 @@ def test_a_combiner_returning_a_bool_fails_its_edge():
     # numbers of any float type still pass
     assert run_assessment(network, lambda a, b: np.float64(0.95)).decisions == {
         (1, 2): Decision.ACCEPT_COMBINED}
+
+
+def _scenario(field):
+    def build(value):
+        config = ScenarioConfig(seed=1, node_count=3, **{"edge_probability": 0.5, field: value})
+        return generate_network(config)  # an accepted value must also generate
+    return build
+
+
+# The two value rules, as the error and the message each raises.
+UNIT = (RangeError, "{name} must lie in [0, 1], got {value!r}")
+VARIANCE = (InvalidVarianceError, "{name} must be positive, got {value!r}")
+
+# Every scalar entry point for a trust value or a variance, as (build, name, rule):
+# build(value) passes value to the entry point and uses it.
+ENTRY_POINTS = {
+    "TrustEstimate.mean": (TrustEstimate, "mean", UNIT),
+    "TrustEstimate.variance": (lambda value: TrustEstimate(0.5, value), "variance", VARIANCE),
+    "RiskAppetite": (RiskAppetite, "max_acceptable_risk", UNIT),
+    "evaluate_request.required": (
+        lambda value: evaluate_request(value, TrustEstimate(0.2), TrustEstimate(0.3)),
+        "required", UNIT),
+    "risk_value.required": (lambda value: risk_value(value, 0.5), "required", UNIT),
+    "risk_value.achieved": (lambda value: risk_value(0.5, value), "achieved", UNIT),
+    "beta_pdf.x": (lambda value: beta_pdf(BetaParams(2.0, 3.0), value), "x", UNIT),
+    **{f"ScenarioConfig.{field}": (_scenario(field), field, rule) for field, rule in (
+        ("edge_probability", UNIT), ("variance_direct", VARIANCE),
+        ("variance_indirect", VARIANCE), ("max_acceptable_risk", UNIT))},
+}
+
+# (id, value, accepted as a trust value, accepted as a variance)
+POLICY_VALUES = [
+    ("0.0", 0.0, True, False),
+    ("-0.0", -0.0, True, False),
+    ("1.0", 1.0, True, True),
+    ("next-above-1", math.nextafter(1.0, 2.0), False, True),
+    ("-5e-324", -5e-324, False, False),
+    ("nan", math.nan, False, False),
+    ("inf", math.inf, False, True),
+    ("-inf", -math.inf, False, False),
+    ("True", True, False, False),
+    ("False", False, False, False),
+    ("numpy-True", np.True_, False, False),
+    ("float32", np.float32(0.25), True, True),
+    ("int64-1", np.int64(1), True, True),
+    ("Fraction", Fraction(1, 4), True, True),
+    ("Decimal", Decimal("0.5"), False, False),
+    ("str", "0.5", False, False),
+    ("None", None, False, False),
+    ("complex", 1j, False, False),
+]
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("value, as_unit, as_variance",
+                         [pytest.param(*case[1:], id=case[0]) for case in POLICY_VALUES])
+def test_every_scalar_entry_point_follows_the_value_policy(entry, value, as_unit, as_variance):
+    build, name, (error, message) = ENTRY_POINTS[entry]
+    accepted = as_unit if error is RangeError else as_variance
+    if accepted:
+        build(value)
+        return
+    with pytest.raises(error) as caught:
+        build(value)
+    assert str(caught.value) == message.format(name=name, value=value)
