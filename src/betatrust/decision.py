@@ -106,7 +106,7 @@ def risk_value(required: float, achieved: float) -> float:
     """
     _check_unit_interval("required", required)
     _check_unit_interval("achieved", achieved)
-    return max(0.0, required - achieved)
+    return required - achieved if required > achieved else 0.0
 
 
 def evaluate_request(
@@ -133,7 +133,8 @@ def evaluate_request(
     if indirect.mean >= required:
         return _ACCEPTED_INDIRECT
     combined = combiner(direct, indirect)
-    risk = risk_value(required, combined)
+    _check_unit_interval("achieved", combined)  # required was checked on entry
+    risk = required - combined if required > combined else 0.0  # risk_value, inline
     return TrustRecord(combined, risk, DECISIONS[fused_code(risk, appetite.max_acceptable_risk)])
 
 

@@ -259,7 +259,10 @@ def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     if not lines or not lines[0].startswith("labels,"):
         raise ValueError("matrix document must start with a labels line")
-    labels = [int(cell) for cell in lines[0].split(",")[1:]]
+    try:
+        labels = [int(cell) for cell in lines[0].split(",")[1:]]
+    except ValueError as exc:
+        raise ValueError(f"labels line: {exc}") from None
     n = len(labels)
     if len(lines) != 1 + len(MATRIX_SECTIONS) * (n + 1):
         raise ValueError("matrix document has the wrong number of lines")
@@ -270,11 +273,14 @@ def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
             raise ValueError(f"expected section {name!r}, found {lines[cursor]!r}")
         cursor += 1
         rows = []
-        for _ in range(n):
+        for row in range(1, n + 1):
             cells = lines[cursor].split(",")
             if len(cells) != n:
                 raise ValueError(f"section {name!r} row has {len(cells)} cells, expected {n}")
-            rows.append([float(cell) for cell in cells])
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise ValueError(f"section {name!r} row {row}: {exc}") from None
             cursor += 1
         matrices[name] = np.array(rows)
     return labels, matrices

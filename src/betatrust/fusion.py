@@ -40,9 +40,10 @@ The identity holds all the same, so negative weights are returned as-is
 rather than clipped.
 
 The inversion, posterior and mean arithmetic is written once, in
-helpers that take floats or numpy arrays alike: the scalar functions
-below call them on floats, and combined_trust_columns calls them on
-whole columns of estimates, so both give bit-identical values.
+_source_shapes (bound and shapes of one source), _posterior_shapes and
+_shape_mean, which take floats or numpy arrays alike: the scalar
+functions below call them on floats, and combined_trust_columns on whole
+columns of estimates, so both give bit-identical values.
 
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
@@ -62,6 +63,7 @@ from .errors import DegeneratePosteriorError, InvalidVarianceError, RangeError
 # inversion; a mean of exactly 0 or 1 would divide by zero in the beta
 # shape formula while clamping preserves the ordering of estimates.
 MEAN_EPSILON = 1e-6
+_MEAN_CEILING = 1.0 - MEAN_EPSILON
 
 # Variance assumed for a trust source that does not report one.  Small
 # enough that every mean in (0.0106, 0.9894) stays invertible.
@@ -84,7 +86,7 @@ def _check_variance(name: str, value: float) -> None:
 
 def clamp_mean(mean: float) -> float:
     """Clamp a trust mean to [MEAN_EPSILON, 1 - MEAN_EPSILON]."""
-    return min(max(mean, MEAN_EPSILON), 1.0 - MEAN_EPSILON)
+    return min(max(mean, MEAN_EPSILON), _MEAN_CEILING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,15 +159,26 @@ def beta_pdf(params: BetaParams, x: float) -> float:
     return math.exp(log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
 
 
-def _variance_bound(m):
-    """m * (1 - m), the supremum of the variance of a Beta with mean m."""
-    return m * (1.0 - m)
+def _source_shapes(m, variance):
+    """(bound, alpha, beta), unchecked: bound = m * (1 - m) is the supremum
+    of the variance of a Beta with mean m, (alpha, beta) its shapes."""
+    bound = m * (1.0 - m)
+    try:
+        alpha = m * (bound / variance - 1.0)
+    except ArithmeticError:  # an int or Fraction variance with no float quotient
+        if bound * 2.0**-1022 <= variance < bound:  # else the caller's bound check names it
+            raise
+        return bound, math.nan, math.nan
+    return bound, alpha, alpha * (1.0 - m) / m
 
 
-def _invert_moments(m, bound, variance):
-    """Shapes (alpha, beta) with mean m and the variance, unchecked."""
-    alpha = m * (bound / variance - 1.0)
-    return alpha, alpha * (1.0 - m) / m
+def _variance_error(variance, bound) -> InvalidVarianceError:
+    """The error of a variance outside [bound * 2**-1022, bound)."""
+    if variance >= bound:
+        return InvalidVarianceError(f"variance {variance!r} >= mean*(1-mean) = {bound!r}: "
+                                    "no Beta distribution has these moments")
+    return InvalidVarianceError(
+        f"variance {variance!r} < mean*(1-mean)*2**-1022: the Beta shapes would overflow")
 
 
 def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
@@ -200,19 +213,11 @@ def beta_variance(params: BetaParams) -> float:
 
 
 def _checked_shapes(estimate: TrustEstimate) -> tuple[float, float]:
-    m = clamp_mean(estimate.mean)
-    bound = _variance_bound(m)
-    if estimate.variance >= bound:
-        raise InvalidVarianceError(
-            f"variance {estimate.variance!r} >= mean*(1-mean) = {bound!r}: "
-            "no Beta distribution has these moments"
-        )
-    if estimate.variance < bound * 2.0**-1022:
-        raise InvalidVarianceError(
-            f"variance {estimate.variance!r} < mean*(1-mean)*2**-1022: "
-            "the Beta shapes would overflow"
-        )
-    return _invert_moments(m, bound, estimate.variance)
+    variance = estimate.variance
+    bound, alpha, beta = _source_shapes(clamp_mean(estimate.mean), variance)
+    if not bound * 2.0**-1022 <= variance < bound:
+        raise _variance_error(variance, bound)
+    return alpha, beta
 
 
 def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
@@ -280,8 +285,17 @@ def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     Propagates InvalidVarianceError from the moment inversion and
     DegeneratePosteriorError when the combination is degenerate.
     """
-    alpha_a, beta_a = _checked_shapes(direct)
-    alpha_b, beta_b = _checked_shapes(indirect)
+    # _checked_shapes twice, with clamp_mean inline: this is the per-job hot path
+    m, variance = direct.mean, direct.variance
+    m = MEAN_EPSILON if m < MEAN_EPSILON else _MEAN_CEILING if m > _MEAN_CEILING else m
+    bound, alpha_a, beta_a = _source_shapes(m, variance)
+    if not bound * 2.0**-1022 <= variance < bound:
+        raise _variance_error(variance, bound)
+    m, variance = indirect.mean, indirect.variance
+    m = MEAN_EPSILON if m < MEAN_EPSILON else _MEAN_CEILING if m > _MEAN_CEILING else m
+    bound, alpha_b, beta_b = _source_shapes(m, variance)
+    if not bound * 2.0**-1022 <= variance < bound:
+        raise _variance_error(variance, bound)
     return _shape_mean(*_checked_posterior(alpha_a, beta_a, alpha_b, beta_b))
 
 
@@ -302,10 +316,10 @@ def combined_trust_columns(
         shapes = []
         for mean, variance in ((direct_mean, direct_variance),
                                (indirect_mean, indirect_variance)):
-            m = np.minimum(np.maximum(mean, MEAN_EPSILON), 1.0 - MEAN_EPSILON)
-            bound = _variance_bound(m)
+            m = np.minimum(np.maximum(mean, MEAN_EPSILON), _MEAN_CEILING)
+            bound, alpha, beta = _source_shapes(m, variance)
             valid &= (variance < bound) & (variance >= bound * 2.0**-1022)
-            shapes.extend(_invert_moments(m, bound, variance))
+            shapes += alpha, beta
         alpha, beta = _posterior_shapes(*shapes)
         valid &= (alpha > 0.0) & (beta > 0.0)
         return np.where(valid, _shape_mean(alpha, beta), np.nan)

@@ -55,6 +55,12 @@ def _check_integer(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _is_node_id(node, n: int) -> bool:
+    """True for an integer 1..n that is not a bool."""
+    integer = type(node) is int or isinstance(node, Integral) and not isinstance(node, bool)
+    return integer and 1 <= node <= n
+
+
 @dataclass(frozen=True, slots=True)
 class Edge:
     """Trust data of one directed edge, read back from a Network's columns."""
@@ -80,7 +86,7 @@ class EdgeView(Mapping):
         network, n = self._network, self._network.node_count
         try:
             i, j = key
-            if not (1 <= i <= n and 1 <= j <= n):
+            if not (_is_node_id(i, n) and _is_node_id(j, n)):
                 raise KeyError(key)
             cell = (i - 1) * n + (j - 1)
         except (TypeError, ValueError):
@@ -180,8 +186,7 @@ class Network:
 
     def appetite_for(self, node: int) -> RiskAppetite:
         """The appetite of node 1..node_count; KeyError for anything else, a bool included."""
-        integer = type(node) is int or isinstance(node, Integral) and not isinstance(node, bool)
-        if not (integer and 1 <= node <= self.node_count):
+        if not _is_node_id(node, self.node_count):
             raise KeyError(node)
         return RiskAppetite(float(self.max_risk[node - 1]))
 

@@ -172,7 +172,7 @@ class TestSharedShortCircuitRecords:
         assert first.decision is Decision.ACCEPT_WITH_RISK
 
 
-def scalar_oracle(required, a, b, appetite, variance=0.01):
+def scalar_oracle(required, a, b, appetite, variances):
     """(decision, combined, risk) of one request, or the name of its error.
 
     Written out line by line from the paper's chain and the method of
@@ -183,7 +183,7 @@ def scalar_oracle(required, a, b, appetite, variance=0.01):
     if b >= required:
         return "AcceptIndirect", None, 0.0
     shapes = []
-    for mean in (a, b):
+    for mean, variance in zip((a, b), variances):
         m = min(max(mean, 1e-6), 1.0 - 1e-6)
         bound = m * (1.0 - m)
         if variance >= bound or variance < bound * 2.0**-1022:
@@ -213,20 +213,38 @@ def exact(row):
     return tuple(x.hex() if isinstance(x, float) else x for x in row)
 
 
-def test_evaluate_request_matches_the_scalar_oracle_bit_for_bit():
-    # the single-requests recipe: uniform T, A, B and appetite, default variance
-    columns = np.random.Generator(np.random.PCG64(501)).random((4, 20_000)).tolist()
+def near_bound_variance(rng, mean):
+    """A variance for mean at, just inside or just outside one of its two bounds, or 0.01.
+
+    The bounds are m*(1-m) and m*(1-m)*2**-1022 of the clamped mean m.
+    """
+    m = min(max(mean, 1e-6), 1.0 - 1e-6)
+    bound, u = m * (1.0 - m), rng.random()
+    factors = (1.0, 1.0 - 2.0**-52, 1.0 - 1e-3 * u, 1.0 + 1e-3 * u,
+               2.0**-1022, 2.0**-1022 * (1.0 - 2.0**-10), 2.0**-1022 * (1.0 + u), None)
+    factor = factors[rng.integers(len(factors))]
+    return 0.01 if factor is None else bound * factor
+
+
+# uniform T, A, B and appetite; the default variance is the single-requests recipe
+@pytest.mark.parametrize("seed, draws, variance", [
+    (501, 20_000, lambda rng, mean: 0.01),
+    (502, 6_000, near_bound_variance),
+], ids=["default-variance", "near-variance-bounds"])
+def test_evaluate_request_matches_the_scalar_oracle_bit_for_bit(seed, draws, variance):
+    rng = np.random.Generator(np.random.PCG64(seed))
     seen = set()
-    for required, a, b, appetite in zip(*columns):
-        expected = scalar_oracle(required, a, b, appetite)
+    for required, a, b, appetite in zip(*rng.random((4, draws)).tolist()):
+        variances = (variance(rng, a), variance(rng, b))
+        expected = scalar_oracle(required, a, b, appetite, variances)
         try:
-            record = evaluate_request(required, TrustEstimate(a), TrustEstimate(b),
-                                      RiskAppetite(appetite))
+            record = evaluate_request(required, TrustEstimate(a, variances[0]),
+                                      TrustEstimate(b, variances[1]), RiskAppetite(appetite))
         except TrustError as exc:
             got = type(exc).__name__
         else:
             got = (record.decision.value, record.combined, record.risk)
-        assert exact(got) == exact(expected), (required, a, b, appetite)
+        assert exact(got) == exact(expected), (required, a, b, appetite, variances)
         seen.add(expected if isinstance(expected, str) else expected[0])
     assert seen == {d.value for d in Decision} | {
         "InvalidVarianceError", "DegeneratePosteriorError"}

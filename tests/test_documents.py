@@ -337,7 +337,12 @@ class TestMatrixTable:
          "matrix document has the wrong number of lines"),
         (lambda lines: [line.replace("0.0000,0.4546,", "0.4546,") for line in lines],
          "section 'T' row has 2 cells, expected 3"),
-    ], ids=["no-labels", "empty", "line-missing", "line-extra", "short-row"])
+        (lambda lines: [line.replace("labels,1,", "labels,a,") for line in lines],
+         "labels line: invalid literal for int() with base 10: 'a'"),
+        (lambda lines: lines[:-2] + ["0.0000,x,0.0000"] + lines[-1:],
+         "section 'R' row 2: could not convert string to float: 'x'"),
+    ], ids=["no-labels", "empty", "line-missing", "line-extra", "short-row", "bad-label",
+            "bad-cell"])
     def test_malformed_table_rejected(self, edit, message):
         result = run_assessment(load_bundled_three_node())
         lines = render_matrices([1, 2, 3], result.as_matrix_dict(), ["c"]).splitlines()

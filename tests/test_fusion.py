@@ -7,6 +7,7 @@ cross-checked here through an independent route (round trips, the
 posterior-mean identity, or the exact closed form).
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,6 +285,66 @@ class TestCombinedTrust:
         combined = combined_trust(direct, indirect)
         assert 0.0 < combined < 1.0
         assert combined == beta_mean(posterior)
+
+    # Estimates whose variance is at the bound (0.3 * 0.7 is 0.21 exactly), above the
+    # bound of a mean clamped to 1 - 1e-6, below the overflow floor, and two exact
+    # reals whose quotient with the bound has no float, with their InvalidVarianceError
+    BAD_SOURCES = {
+        "at-bound": (TrustEstimate(0.3, 0.21),
+                     "variance 0.21 >= mean*(1-mean) = 0.21: "
+                     "no Beta distribution has these moments"),
+        "clamped-bound": (TrustEstimate(1.0, 0.01),
+                          "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07: "
+                          "no Beta distribution has these moments"),
+        "overflow": (TrustEstimate(0.5, 1e-309),
+                     "variance 1e-309 < mean*(1-mean)*2**-1022: "
+                     "the Beta shapes would overflow"),
+        "huge-int": (TrustEstimate(0.5, 10**400),
+                     f"variance {10**400} >= mean*(1-mean) = 0.25: "
+                     "no Beta distribution has these moments"),
+        "tiny-fraction": (TrustEstimate(0.5, Fraction(1, 10**400)),
+                          f"variance {Fraction(1, 10**400)!r} < mean*(1-mean)*2**-1022: "
+                          "the Beta shapes would overflow"),
+    }
+
+    @pytest.mark.parametrize("source", ["direct", "indirect"])
+    @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+    def test_variance_error_message(self, case, source):
+        bad, message = self.BAD_SOURCES[case]
+        good = TrustEstimate(0.6844, 0.01)
+        args = (bad, good) if source == "direct" else (good, bad)
+        with pytest.raises(InvalidVarianceError) as info:
+            combined_trust(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("first, second", [("at-bound", "overflow"),
+                                               ("overflow", "at-bound")])
+    def test_direct_source_is_checked_first(self, first, second):
+        with pytest.raises(InvalidVarianceError) as info:
+            combined_trust(self.BAD_SOURCES[first][0], self.BAD_SOURCES[second][0])
+        assert str(info.value) == self.BAD_SOURCES[first][1]
+
+    @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+    def test_moments_to_beta_raises_the_same_message(self, case):
+        bad, message = self.BAD_SOURCES[case]
+        with pytest.raises(InvalidVarianceError) as info:
+            moments_to_beta(bad)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("direct, indirect, message", [
+        (TrustEstimate(0.1, 0.06), TrustEstimate(0.1, 0.06),
+         "posterior shapes (-0.8999999999999999, -0.09999999999999964) are not both positive"),
+        (TrustEstimate(0.9, 0.06), TrustEstimate(0.9, 0.06),
+         "posterior shapes (-0.10000000000000042, -0.9) are not both positive"),
+        (TrustEstimate(0.9, 0.01), TrustEstimate(0.5, 0.2),
+         "posterior shapes (6.324999999999998, -0.0750000000000004) are not both positive"),
+        (TrustEstimate(0.5, 0.2), TrustEstimate(0.9, 0.01),
+         "posterior shapes (6.324999999999998, -0.0750000000000004) are not both positive"),
+    ], ids=["low-means", "high-means", "direct-strong", "indirect-strong"])
+    def test_degenerate_posterior_message(self, direct, indirect, message):
+        with pytest.raises(DegeneratePosteriorError) as info:
+            combined_trust(direct, indirect)
+        assert str(info.value) == message
 
     def test_deterministic(self):
         a = TrustEstimate(0.3141592653589793, 0.0123456789)

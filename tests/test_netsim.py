@@ -326,6 +326,18 @@ class TestFixtureAssessment:
         assert network.edges[(1, 2)].indirect.mean == 0.7578
         assert network.edges[(3, 2)].indirect.mean == 0.0777
 
+    # each key equals an edge's (i, j) under ==, but names no integer node
+    @pytest.mark.parametrize("key", [(True, 2), (1.0, 2), (1, 2.0), (np.True_, 3),
+                                     (np.float64(1.0), 3)],
+                             ids=["bool", "float-src", "float-dst", "numpy-bool", "numpy-float"])
+    def test_edges_reject_non_integer_node_ids(self, key):
+        edges = load_bundled_three_node().edges
+        assert key not in edges
+        with pytest.raises(KeyError) as info:
+            edges[key]
+        assert info.value.args == (key,)
+        assert edges[(np.int64(1), np.int64(2))] == edges[(1, 2)]
+
     def test_reference_decisions(self):
         result = run_assessment(load_bundled_three_node())
         assert result.decisions[(1, 2)] is Decision.ACCEPT_DIRECT

@@ -159,6 +159,10 @@ ENTRY_POINTS = {
     "evaluate_request.required": (
         lambda value: evaluate_request(value, TrustEstimate(0.2), TrustEstimate(0.3)),
         "required", UNIT),
+    "evaluate_request.combined": (
+        lambda value: evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3),
+                                       combiner=lambda direct, indirect: value),
+        "achieved", UNIT),
     "risk_value.required": (lambda value: risk_value(value, 0.5), "required", UNIT),
     "risk_value.achieved": (lambda value: risk_value(0.5, value), "achieved", UNIT),
     "beta_pdf.x": (lambda value: beta_pdf(BetaParams(2.0, 3.0), value), "x", UNIT),
