@@ -33,25 +33,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trust and risk assessment via Beta-distribution evidence fusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sources = argparse.ArgumentParser(add_help=False)
+    sources.add_argument("--a", type=float, required=True, help="direct trust mean")
+    sources.add_argument("--b", type=float, required=True, help="indirect trust mean")
+    sources.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
+                         help="variance for both sources (default %(default)s)")
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=sorted(COMBINERS), default="beta",
+                        help="combiner for the C step (default beta)")
 
-    fuse = sub.add_parser("fuse", help="fuse a direct and an indirect trust value")
-    fuse.add_argument("--a", type=float, required=True, help="direct trust mean")
-    fuse.add_argument("--b", type=float, required=True, help="indirect trust mean")
-    fuse.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
-                      help="variance for both sources (default %(default)s)")
+    fuse = sub.add_parser("fuse", parents=[sources],
+                          help="fuse a direct and an indirect trust value")
     fuse.add_argument("--var-a", type=float, default=None, help="direct variance override")
     fuse.add_argument("--var-b", type=float, default=None, help="indirect variance override")
 
-    decide = sub.add_parser("decide", help="run the A -> B -> C acceptance chain")
+    decide = sub.add_parser("decide", parents=[sources],
+                            help="run the A -> B -> C acceptance chain")
     decide.add_argument("--t", type=float, required=True, help="required trust")
-    decide.add_argument("--a", type=float, required=True, help="direct trust mean")
-    decide.add_argument("--b", type=float, required=True, help="indirect trust mean")
-    decide.add_argument("--var", type=float, default=DEFAULT_VARIANCE,
-                        help="variance for both sources (default %(default)s)")
     decide.add_argument("--appetite", type=float, default=0.0,
                         help="maximum acceptable risk (default 0)")
 
-    simulate = sub.add_parser("simulate", help="assess a seeded random network")
+    simulate = sub.add_parser("simulate", parents=[method],
+                              help="assess a seeded random network")
     simulate.add_argument("--nodes", type=int, required=True, help="node count")
     simulate.add_argument("--seed", type=int, default=0, help="scenario seed")
     simulate.add_argument("--edge-prob", type=float, default=0.3,
@@ -60,16 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="variance for all estimates (default %(default)s)")
     simulate.add_argument("--appetite", type=float, default=0.0,
                           help="per-node maximum acceptable risk (default 0)")
-    simulate.add_argument("--method", choices=sorted(COMBINERS), default="beta",
-                          help="combiner for the C step (default beta)")
     simulate.add_argument("--out", type=Path, required=True, help="output directory")
 
-    reproduce = sub.add_parser(
-        "reproduce-table1",
-        help="print the bundled three-node reference assessment",
-    )
-    reproduce.add_argument("--method", choices=sorted(COMBINERS), default="beta",
-                           help="combiner for the C step (default beta)")
+    sub.add_parser("reproduce-table1", parents=[method],
+                   help="print the bundled three-node reference assessment")
     return parser
 
 
@@ -83,14 +80,13 @@ def _estimate(mean: float, variance: float, label: str) -> TrustEstimate:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     direct = _estimate(args.a, args.var if args.var_a is None else args.var_a, "--a")
     indirect = _estimate(args.b, args.var if args.var_b is None else args.var_b, "--b")
-    try:
-        params_a = moments_to_beta(direct)
-    except TrustError as exc:
-        raise TrustError(f"moment inversion of the direct estimate failed: {exc}") from exc
-    try:
-        params_b = moments_to_beta(indirect)
-    except TrustError as exc:
-        raise TrustError(f"moment inversion of the indirect estimate failed: {exc}") from exc
+    params = []
+    for estimate, side in ((direct, "direct"), (indirect, "indirect")):
+        try:
+            params.append(moments_to_beta(estimate))
+        except TrustError as exc:
+            raise TrustError(f"moment inversion of the {side} estimate failed: {exc}") from exc
+    params_a, params_b = params
     posterior = posterior_params(params_a, params_b)
     weights = fusion_weights(params_a, params_b)
     for name, value in (

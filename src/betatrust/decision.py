@@ -61,17 +61,19 @@ def fused_code(risk, appetite):
     return 2 + (risk > 0.0) + (risk > appetite)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RiskAppetite:
     """Maximum risk a node is willing to take when trust falls short.
 
-    The default of 0 declines on any shortfall.
+    The default of 0 declines on any shortfall.  A numpy float is stored
+    as the float of the same value.
     """
 
-    max_acceptable_risk: float = 0.0
+    max_acceptable_risk: float
 
-    def __post_init__(self) -> None:
-        _check_unit_interval("max_acceptable_risk", self.max_acceptable_risk)
+    def __init__(self, max_acceptable_risk: float = 0.0) -> None:
+        object.__setattr__(self, "max_acceptable_risk",
+                           _check_unit_interval("max_acceptable_risk", max_acceptable_risk))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,18 +99,6 @@ _ACCEPTED_DIRECT = TrustRecord(None, 0.0, Decision.ACCEPT_DIRECT)
 _ACCEPTED_INDIRECT = TrustRecord(None, 0.0, Decision.ACCEPT_INDIRECT)
 
 
-def risk_value(required: float, achieved: float) -> float:
-    """Shortfall of the achieved trust against the requirement.
-
-    Returns max(0, required - achieved): zero whenever the achieved
-    trust covers the requirement, never negative, non-increasing in
-    achieved and non-decreasing in required.
-    """
-    _check_unit_interval("required", required)
-    _check_unit_interval("achieved", achieved)
-    return required - achieved if required > achieved else 0.0
-
-
 def evaluate_request(
     required: float,
     direct: TrustEstimate,
@@ -126,15 +116,15 @@ def evaluate_request(
     Every failure is a TrustError: fusion errors from the combiner
     propagate unchanged, and a required or combined value that is not a
     real number in [0, 1] (a bool and NaN included) raises RangeError.
+    A numpy float required or C counts as the float of the same value.
     """
-    _check_unit_interval("required", required)
+    required = _check_unit_interval("required", required)
     if direct.mean >= required:
         return _ACCEPTED_DIRECT
     if indirect.mean >= required:
         return _ACCEPTED_INDIRECT
-    combined = combiner(direct, indirect)
-    _check_unit_interval("achieved", combined)  # required was checked on entry
-    risk = required - combined if required > combined else 0.0  # risk_value, inline
+    combined = _check_unit_interval("achieved", combiner(direct, indirect))
+    risk = required - combined if required > combined else 0.0
     return TrustRecord(combined, risk, DECISIONS[fused_code(risk, appetite.max_acceptable_risk)])
 
 

@@ -40,10 +40,10 @@ The identity holds all the same, so negative weights are returned as-is
 rather than clipped.
 
 The inversion, posterior and mean arithmetic is written once, in
-_source_shapes (bound and shapes of one source), _posterior_shapes and
-_shape_mean, which take floats or numpy arrays alike: the scalar
-functions below call them on floats, and combined_trust_columns on whole
-columns of estimates, so both give bit-identical values.
+_source_shapes, _posterior_shapes and _shape_mean, which take floats or
+numpy arrays alike.  _checked_source clamps and checks one estimate for
+the scalar functions, combined_trust_columns whole columns of them, so
+both give bit-identical values and fail on the same estimates.
 
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
@@ -74,19 +74,24 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)  # bool compares as 0 or 1
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not ((type(value) is float or _is_real(value)) and 0.0 <= value <= 1.0):
-        raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
+# The value rules return the value to compute with: a numpy float as its float
+# (numpy computes in its own type), any other real number as given.
+def _check_unit_interval(name: str, value: float) -> float:
+    if type(value) is float:
+        if 0.0 <= value <= 1.0:
+            return value
+    elif _is_real(value) and 0.0 <= value <= 1.0:
+        return float(value) if isinstance(value, np.floating) else value
+    raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _check_variance(name: str, value: float) -> None:
-    if not ((type(value) is float or _is_real(value)) and value > 0.0):
-        raise InvalidVarianceError(f"{name} must be positive, got {value!r}")
-
-
-def clamp_mean(mean: float) -> float:
-    """Clamp a trust mean to [MEAN_EPSILON, 1 - MEAN_EPSILON]."""
-    return min(max(mean, MEAN_EPSILON), _MEAN_CEILING)
+def _check_variance(name: str, value: float) -> float:
+    if type(value) is float:
+        if value > 0.0:
+            return value
+    elif _is_real(value) and value > 0.0:
+        return float(value) if isinstance(value, np.floating) else value
+    raise InvalidVarianceError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,12 +108,13 @@ class BetaParams:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TrustEstimate:
     """A trust value in [0, 1] together with the variance of the estimate.
 
     The mean must be a real number in [0, 1] (RangeError), the variance
-    one above 0 (InvalidVarianceError); a bool or a str is neither.  Whether
+    one above 0 (InvalidVarianceError); a bool or a str is neither.  A
+    numpy float is stored as the float of the same value.  Whether
     a Beta with this mean can have the variance (see moments_to_beta) is
     checked only when the estimate is fused: a request accepted via A
     never inverts its direct estimate, so a source at mean 1.0 with the
@@ -116,11 +122,12 @@ class TrustEstimate:
     """
 
     mean: float
-    variance: float = DEFAULT_VARIANCE
+    variance: float
 
-    def __post_init__(self) -> None:
-        _check_unit_interval("mean", self.mean)
-        _check_variance("variance", self.variance)
+    # stores what the value rules return; a __post_init__ would set each field twice
+    def __init__(self, mean: float, variance: float = DEFAULT_VARIANCE) -> None:
+        object.__setattr__(self, "mean", _check_unit_interval("mean", mean))
+        object.__setattr__(self, "variance", _check_variance("variance", variance))
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,17 +166,10 @@ def beta_pdf(params: BetaParams, x: float) -> float:
     return math.exp(log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
 
 
-def _source_shapes(m, variance):
-    """(bound, alpha, beta), unchecked: bound = m * (1 - m) is the supremum
-    of the variance of a Beta with mean m, (alpha, beta) its shapes."""
-    bound = m * (1.0 - m)
-    try:
-        alpha = m * (bound / variance - 1.0)
-    except ArithmeticError:  # an int or Fraction variance with no float quotient
-        if bound * 2.0**-1022 <= variance < bound:  # else the caller's bound check names it
-            raise
-        return bound, math.nan, math.nan
-    return bound, alpha, alpha * (1.0 - m) / m
+def _source_shapes(m, variance, bound):
+    """(alpha, beta) of the Beta with mean m and variance below bound = m * (1 - m), unchecked."""
+    alpha = m * (bound / variance - 1.0)
+    return alpha, alpha * (1.0 - m) / m
 
 
 def _variance_error(variance, bound) -> InvalidVarianceError:
@@ -212,12 +212,13 @@ def beta_variance(params: BetaParams) -> float:
     return (params.alpha / total) * (params.beta / total) / (total + 1.0)
 
 
-def _checked_shapes(estimate: TrustEstimate) -> tuple[float, float]:
-    variance = estimate.variance
-    bound, alpha, beta = _source_shapes(clamp_mean(estimate.mean), variance)
+def _checked_source(mean, variance) -> tuple[float, float]:
+    """(alpha, beta) of one estimate: the mean clamped, the variance checked before dividing."""
+    m = MEAN_EPSILON if mean < MEAN_EPSILON else _MEAN_CEILING if mean > _MEAN_CEILING else mean
+    bound = m * (1.0 - m)
     if not bound * 2.0**-1022 <= variance < bound:
         raise _variance_error(variance, bound)
-    return alpha, beta
+    return _source_shapes(m, variance, bound)
 
 
 def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
@@ -241,7 +242,7 @@ def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
     feeding them back through beta_mean / beta_variance reproduces the
     (clamped) input moments.
     """
-    return BetaParams(*_checked_shapes(estimate))
+    return BetaParams(*_checked_source(estimate.mean, estimate.variance))
 
 
 def posterior_params(prior: BetaParams, likelihood: BetaParams) -> BetaParams:
@@ -285,17 +286,8 @@ def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     Propagates InvalidVarianceError from the moment inversion and
     DegeneratePosteriorError when the combination is degenerate.
     """
-    # _checked_shapes twice, with clamp_mean inline: this is the per-job hot path
-    m, variance = direct.mean, direct.variance
-    m = MEAN_EPSILON if m < MEAN_EPSILON else _MEAN_CEILING if m > _MEAN_CEILING else m
-    bound, alpha_a, beta_a = _source_shapes(m, variance)
-    if not bound * 2.0**-1022 <= variance < bound:
-        raise _variance_error(variance, bound)
-    m, variance = indirect.mean, indirect.variance
-    m = MEAN_EPSILON if m < MEAN_EPSILON else _MEAN_CEILING if m > _MEAN_CEILING else m
-    bound, alpha_b, beta_b = _source_shapes(m, variance)
-    if not bound * 2.0**-1022 <= variance < bound:
-        raise _variance_error(variance, bound)
+    alpha_a, beta_a = _checked_source(direct.mean, direct.variance)
+    alpha_b, beta_b = _checked_source(indirect.mean, indirect.variance)
     return _shape_mean(*_checked_posterior(alpha_a, beta_a, alpha_b, beta_b))
 
 
@@ -317,9 +309,9 @@ def combined_trust_columns(
         for mean, variance in ((direct_mean, direct_variance),
                                (indirect_mean, indirect_variance)):
             m = np.minimum(np.maximum(mean, MEAN_EPSILON), _MEAN_CEILING)
-            bound, alpha, beta = _source_shapes(m, variance)
+            bound = m * (1.0 - m)
             valid &= (variance < bound) & (variance >= bound * 2.0**-1022)
-            shapes += alpha, beta
+            shapes += _source_shapes(m, variance, bound)
         alpha, beta = _posterior_shapes(*shapes)
         valid &= (alpha > 0.0) & (beta > 0.0)
         return np.where(valid, _shape_mean(alpha, beta), np.nan)

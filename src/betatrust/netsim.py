@@ -395,15 +395,14 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
             network.src, network.dst, network.direct_mean, network.direct_variance,
             network.indirect_mean, network.indirect_variance))
     ):
-        try:
-            achieved = combiner(TrustEstimate(direct_mean, direct_var),
-                                TrustEstimate(indirect_mean, indirect_var))
-            # checked as returned: stored first, a NaN would read np.float64(nan)
-            _check_unit_interval("achieved", achieved)
+        try:  # checked before it is stored, where a NaN would read np.float64(nan)
+            value[k] = _check_unit_interval("achieved", combiner(
+                TrustEstimate(direct_mean, direct_var),
+                TrustEstimate(indirect_mean, indirect_var)))
         except TrustError as exc:
             errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
         else:
-            value[k], valid[k] = achieved, True
+            valid[k] = True
     decided, value = fused[valid], value[valid]
     risk = np.maximum(required[decided] - value, 0.0)
     outcome[decided] = fused_code(risk, network.max_risk[network.src[decided] - 1])

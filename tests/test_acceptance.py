@@ -11,13 +11,14 @@ import pytest
 
 from betatrust import (
     Decision,
+    Network,
     TrustEstimate,
     combined_trust,
+    evaluate_request,
     fifteen_node_config,
     generate_network,
     run_assessment,
 )
-from betatrust.decision import risk_value
 from betatrust.documents import load_bundled_three_node
 from betatrust.fusion import (
     BetaParams,
@@ -34,12 +35,25 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 @pytest.mark.criterion(1, "reference-table risk arithmetic")
 def test_c1_reference_table_risks():
-    # Beta-method column
-    assert abs(risk_value(0.7148, 0.4284) - 0.2864) <= 1e-4
-    assert abs(risk_value(0.5846, 0.4634) - 0.1212) <= 1e-4
-    # traditional column
-    assert abs(risk_value(0.7148, 0.4693) - 0.2455) <= 1e-4
-    assert abs(risk_value(0.5846, 0.4928) - 0.0918) <= 1e-4
+    rows = [
+        (0.7148, 0.4284, 0.2864),  # Beta-method column
+        (0.5846, 0.4634, 0.1212),
+        (0.7148, 0.4693, 0.2455),  # traditional column
+        (0.5846, 0.4928, 0.0918),
+    ]
+    # the published C, through both copies of R = max(0, T - C)
+    for required, combined, risk in rows:
+        def published(direct, indirect):
+            return combined
+
+        record = evaluate_request(required, TrustEstimate(0.0), TrustEstimate(0.0),
+                                  combiner=published)
+        assert abs(record.risk - risk) <= 1e-4
+        network = Network(node_count=2, src=[1], dst=[2], required=[required],
+                          direct_mean=[0.0], direct_variance=[0.01],
+                          indirect_mean=[0.0], indirect_variance=[0.01], max_risk=[0.0, 0.0])
+        result = run_assessment(network, published)
+        assert abs(result.r_matrix[0, 1] - risk) <= 1e-4
 
 
 @pytest.mark.criterion(2, "three-node decision pattern and zero structure")

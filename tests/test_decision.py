@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from betatrust import Decision, RiskAppetite, TrustError, TrustEstimate, evaluate_request
-from betatrust.decision import TrustRecord, average_combiner, risk_value
+from betatrust import (
+    Decision,
+    Network,
+    RiskAppetite,
+    TrustError,
+    TrustEstimate,
+    evaluate_request,
+    run_assessment,
+)
+from betatrust.decision import TrustRecord, average_combiner
 
 # reference edge 1->3: combined and risk under variance 0.01 (50-digit script)
 COMBINED_13 = 0.6060471220991707
@@ -19,6 +27,24 @@ finite = {"allow_nan": False, "allow_infinity": False}
 unit = st.floats(min_value=0.0, max_value=1.0, **finite)
 
 
+def one_edge_network(required):
+    """Edge 1 -> 2 with requirement required, whose A and B (both 0) reach C unless it is 0."""
+    return Network(node_count=2, src=[1], dst=[2], required=[required],
+                   direct_mean=[0.0], direct_variance=[0.01],
+                   indirect_mean=[0.0], indirect_variance=[0.01], max_risk=[0.0, 0.0])
+
+
+def live_risks(required, achieved):
+    """R = max(0, T - C) from both of its copies: evaluate_request, and
+    run_assessment on one edge, each with a combiner returning C = achieved."""
+    combiner = lambda direct, indirect: achieved  # noqa: E731
+    record = evaluate_request(required, TrustEstimate(0.0), TrustEstimate(0.0),
+                              combiner=combiner)
+    result = run_assessment(one_edge_network(required), combiner)
+    assert result.errors == [] and result.r_matrix[0, 1] == record.risk
+    return record.risk, float(result.r_matrix[0, 1])
+
+
 class TestRiskValue:
     @pytest.mark.parametrize(
         "required, achieved, expected",
@@ -30,24 +56,34 @@ class TestRiskValue:
         ],
     )
     def test_reference_table_risks(self, required, achieved, expected):
-        assert risk_value(required, achieved) == pytest.approx(expected, abs=1e-12)
+        for risk in live_risks(required, achieved):
+            assert risk == pytest.approx(expected, abs=1e-12)
 
     def test_zero_when_achieved_covers_requirement(self):
-        assert risk_value(0.4, 0.7) == 0.0
-        assert risk_value(0.4, 0.4) == 0.0
+        assert live_risks(0.4, 0.7) == (0.0, 0.0)
+        assert live_risks(0.4, 0.4) == (0.0, 0.0)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            risk_value(1.2, 0.5)
+            evaluate_request(1.2, TrustEstimate(0.0), TrustEstimate(0.0),
+                             combiner=lambda direct, indirect: 0.5)
         with pytest.raises(ValueError):
-            risk_value(0.5, -0.1)
+            one_edge_network(1.2)
+        with pytest.raises(ValueError):
+            evaluate_request(0.5, TrustEstimate(0.0), TrustEstimate(0.0),
+                             combiner=lambda direct, indirect: -0.1)
+        result = run_assessment(one_edge_network(0.5), lambda direct, indirect: -0.1)
+        assert [(e.kind, e.message) for e in result.errors] == [
+            ("RangeError", "achieved must lie in [0, 1], got -0.1")]
 
     @given(unit, unit, unit)
     def test_monotonicity(self, required, low, high):
         lo, hi = sorted((low, high))
-        assert risk_value(required, hi) <= risk_value(required, lo)
+        for at_hi, at_lo in zip(live_risks(required, hi), live_risks(required, lo)):
+            assert at_hi <= at_lo
         r_lo, r_hi = sorted((low, high))
-        assert risk_value(r_lo, required) <= risk_value(r_hi, required)
+        for at_lo, at_hi in zip(live_risks(r_lo, required), live_risks(r_hi, required)):
+            assert at_lo <= at_hi
 
 
 class TestEvaluateRequest:

@@ -35,7 +35,7 @@ from betatrust import (
 from betatrust import netsim
 from betatrust.decision import COMBINERS, average_combiner
 from betatrust.documents import load_bundled_three_node, network_to_document
-from betatrust.fusion import MEAN_EPSILON, clamp_mean
+from betatrust.fusion import MEAN_EPSILON
 
 COMBINED_13 = 0.6060471220991707
 COMBINED_31 = 0.46050709786418943
@@ -541,7 +541,7 @@ boundary_means = st.one_of(
 
 @st.composite
 def boundary_estimates(draw, mean):
-    m = clamp_mean(mean)
+    m = min(max(mean, CLAMP), 1.0 - CLAMP)
     bound = m * (1.0 - m)
     floor = bound * 2.0**-1022
     variance = draw(st.one_of(

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -19,12 +20,13 @@ from betatrust import (
     RiskAppetite,
     ScenarioConfig,
     TrustEstimate,
+    combined_trust,
     evaluate_request,
     generate_network,
     run_assessment,
 )
-from betatrust.decision import TrustRecord, risk_value
-from betatrust.fusion import BetaParams, FusionWeights, beta_pdf
+from betatrust.decision import TrustRecord
+from betatrust.fusion import BetaParams, FusionWeights, beta_pdf, moments_to_beta
 from betatrust.netsim import EdgeError
 
 RECORDS = [
@@ -102,7 +104,6 @@ def _true_combiner(direct, indirect):
         (lambda: evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3),
                                   combiner=_true_combiner),
          RangeError, "achieved must lie in [0, 1], got True"),
-        (lambda: risk_value(0.5, False), RangeError, "achieved must lie in [0, 1], got False"),
         (lambda: beta_pdf(BetaParams(2.0, 3.0), True), RangeError,
          "x must lie in [0, 1], got True"),
         (lambda: ScenarioConfig(seed=1, node_count=3, edge_probability=True), RangeError,
@@ -114,7 +115,7 @@ def _true_combiner(direct, indirect):
          f"required must lie in [0, 1], got {np.True_!r}"),
     ],
     ids=["mean-True", "mean-False", "variance-True", "appetite-True", "appetite-False",
-         "scenario-appetite", "required", "combiner", "risk_value", "beta_pdf",
+         "scenario-appetite", "required", "combiner", "beta_pdf",
          "scenario-edge_probability", "scenario-variance", "required-numpy-bool"],
 )
 def test_a_bool_is_not_a_trust_value(build, error, message):
@@ -163,8 +164,6 @@ ENTRY_POINTS = {
         lambda value: evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3),
                                        combiner=lambda direct, indirect: value),
         "achieved", UNIT),
-    "risk_value.required": (lambda value: risk_value(value, 0.5), "required", UNIT),
-    "risk_value.achieved": (lambda value: risk_value(0.5, value), "achieved", UNIT),
     "beta_pdf.x": (lambda value: beta_pdf(BetaParams(2.0, 3.0), value), "x", UNIT),
     **{f"ScenarioConfig.{field}": (_scenario(field), field, rule) for field, rule in (
         ("edge_probability", UNIT), ("variance_direct", VARIANCE),
@@ -206,3 +205,78 @@ def test_every_scalar_entry_point_follows_the_value_policy(entry, value, as_unit
     with pytest.raises(error) as caught:
         build(value)
     assert str(caught.value) == message.format(name=name, value=value)
+
+
+@pytest.mark.parametrize("value, as_unit",
+                         [pytest.param(*case[1:3], id=case[0]) for case in POLICY_VALUES])
+def test_run_assessment_checks_the_combined_value_by_the_policy(value, as_unit):
+    network = Network(
+        node_count=2, src=[1], dst=[2], required=[1.0],
+        direct_mean=[0.2], direct_variance=[0.01],
+        indirect_mean=[0.3], indirect_variance=[0.01],
+        max_risk=[1.0, 1.0],
+    )
+    result = run_assessment(network, lambda direct, indirect: value)
+    if as_unit:
+        assert result.errors == []
+        assert result.c_matrix[0, 1] == value and result.r_matrix[0, 1] == 1.0 - value
+        return
+    assert result.errors == [
+        EdgeError(1, 2, "RangeError", f"achieved must lie in [0, 1], got {value!r}")]
+    assert result.decisions == {}
+
+
+# (T, A, variance of A, B, variance of B, appetite) of requests that reach C
+NUMPY_REQUESTS = [
+    (0.9, 0.3, 0.01, 0.4, 0.01, 0.0),
+    (0.9, 0.3, 0.02, 0.4, 0.005, 0.6),
+    (0.7148, 0.6844, 0.01, 0.0445, 0.01, 1.0),
+    (0.5, 0.1, 0.03, 0.2, 0.001, 0.25),
+]
+
+
+def _decide(values, combiner):
+    required, a, var_a, b, var_b, appetite = values
+    return evaluate_request(required, TrustEstimate(a, var_a), TrustEstimate(b, var_b),
+                            RiskAppetite(appetite), combiner)
+
+
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("fixed", [None, 0.375], ids=["beta", "fixed-C"])
+@pytest.mark.parametrize("values", NUMPY_REQUESTS)
+def test_numpy_floats_decide_as_the_floats_of_the_same_value(kind, fixed, values):
+    typed = [kind(value) for value in values]
+    plain = [float(value) for value in typed]
+    combiners = combined_trust, combined_trust
+    if fixed is not None:
+        c = kind(fixed)
+        combiners = (lambda direct, indirect: c), (lambda direct, indirect: float(c))
+    record, expected = _decide(typed, combiners[0]), _decide(plain, combiners[1])
+    assert record == expected
+    assert type(record.combined) is float and type(record.risk) is float
+    assert record.combined.hex() == expected.combined.hex()
+    assert record.risk.hex() == expected.risk.hex()
+    estimate, appetite = TrustEstimate(typed[1], typed[2]), RiskAppetite(typed[5])
+    assert type(estimate.mean) is type(estimate.variance) is float
+    assert type(appetite.max_acceptable_risk) is float
+    required, a, var_a, b, var_b, appetite = typed
+    network = Network(node_count=2, src=[1], dst=[2], required=[required],
+                      direct_mean=[a], direct_variance=[var_a],
+                      indirect_mean=[b], indirect_variance=[var_b],
+                      max_risk=[appetite, appetite])
+    result = run_assessment(network, combiners[0])
+    assert result.c_matrix[0, 1] == record.combined and result.r_matrix[0, 1] == record.risk
+    assert result.decisions == {(1, 2): record.decision}
+
+
+def test_a_tiny_numpy_variance_fuses_in_float64():
+    tiny = np.float32(1e-45)  # passes the float64 floor, overflows float32 shapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = TrustEstimate(0.5, tiny)
+        record = evaluate_request(0.9, direct, TrustEstimate(0.4))
+        params = moments_to_beta(direct)
+    assert direct.variance == float(tiny) and type(direct.variance) is float
+    assert record.combined == combined_trust(TrustEstimate(0.5, float(tiny)), TrustEstimate(0.4))
+    assert record.combined == 0.5
+    assert math.isfinite(params.alpha) and math.isfinite(params.beta)
