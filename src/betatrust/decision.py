@@ -65,8 +65,8 @@ def fused_code(risk, appetite):
 class RiskAppetite:
     """Maximum risk a node is willing to take when trust falls short.
 
-    The default of 0 declines on any shortfall.  A numpy float is stored
-    as the float of the same value.
+    The default of 0 declines on any shortfall.  A numpy float or integer
+    is stored as the Python float or int of the same value.
     """
 
     max_acceptable_risk: float
@@ -116,7 +116,7 @@ def evaluate_request(
     Every failure is a TrustError: fusion errors from the combiner
     propagate unchanged, and a required or combined value that is not a
     real number in [0, 1] (a bool and NaN included) raises RangeError.
-    A numpy float required or C counts as the float of the same value.
+    A numpy float or integer T or C counts as the Python number of its value.
     """
     required = _check_unit_interval("required", required)
     if direct.mean >= required:

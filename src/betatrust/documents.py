@@ -17,8 +17,8 @@ Network document (JSON, schema_version 1):
 Node ids must be the consecutive integers 1..n.  Per-edge variances and
 the appetites map are optional and fall back to the document defaults,
 which themselves fall back to the package defaults (variance 0.01,
-appetite 0).  The loader reads the edges into Network's columns in one
-pass.  Validation errors name the offending field path; Network rejects
+appetite 0).  The loader checks each number with fusion's two value
+rules, and an error names the offending field path; Network rejects
 a self-edge or a duplicate edge, reported at the path "edges".
 
 Matrix table (comma-separated text, diff-friendly): a labels line, then
@@ -39,8 +39,8 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NetworkDocumentError
-from .fusion import DEFAULT_VARIANCE
+from .errors import ConfigurationError, NetworkDocumentError, TrustError
+from .fusion import DEFAULT_VARIANCE, _check_unit_interval, _check_variance
 from .netsim import EDGE_COLUMNS, Network
 
 SCHEMA_VERSION = 1
@@ -58,34 +58,28 @@ def _require(condition: bool, message: str, where: str) -> None:
         raise NetworkDocumentError(message, where)
 
 
-# The per-field helpers run for every edge field: they format a message only on failure.
-
-def _as_number(value: Any, name: str, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise NetworkDocumentError(f"field {name!r} must be a number, got {value!r}", where)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+def _number(obj: Mapping[str, Any], key: str, where: str, rule, default: Any = None) -> float:
+    """obj[key], or default if the key is absent, as a finite float that passes rule, one
+    of fusion's two value rules; the field's name is built only to word the rule's error."""
+    value = number = obj.get(key, default)
+    if type(value) is not float:
+        if value is None and key not in obj:
+            raise NetworkDocumentError(f"missing field {key!r}", where)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise NetworkDocumentError(f"field {key!r} must be a number, got {value!r}", where)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
     if not math.isfinite(number):
-        raise NetworkDocumentError(f"field {name!r} must be finite, got {value!r}", where)
-    return number
-
-
-def _get_variance(obj: Mapping[str, Any], key: str, default: float, where: str) -> float:
-    value = _as_number(obj.get(key, default), key, where)
-    if not value > 0.0:
-        raise NetworkDocumentError(f"field {key!r} must be positive, got {value!r}", where)
-    return value
-
-
-def _get_unit(obj: Mapping[str, Any], key: str, where: str) -> float:
-    if key not in obj:
-        raise NetworkDocumentError(f"missing field {key!r}", where)
-    value = _as_number(obj[key], key, where)
-    if not 0.0 <= value <= 1.0:
-        raise NetworkDocumentError(f"field {key!r} must lie in [0, 1], got {value!r}", where)
-    return value
+        raise NetworkDocumentError(f"field {key!r} must be finite, got {value!r}", where)
+    try:
+        return rule(key, number)
+    except TrustError:
+        try:
+            rule(f"field {key!r}", number)
+        except TrustError as exc:
+            raise NetworkDocumentError(str(exc), where) from exc
 
 
 def document_to_network(doc: Mapping[str, Any]) -> Network:
@@ -107,22 +101,20 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
 
     defaults = doc.get("defaults", {})
     _require(isinstance(defaults, dict), "field 'defaults' must be an object", "defaults")
-    default_variance = _get_variance(defaults, "variance", DEFAULT_VARIANCE, "defaults")
-    default_appetite = 0.0
-    if "max_acceptable_risk" in defaults:
-        default_appetite = _get_unit(defaults, "max_acceptable_risk", "defaults")
+    default_var = _number(defaults, "variance", "defaults", _check_variance, DEFAULT_VARIANCE)
+    default_risk = _number(defaults, "max_acceptable_risk", "defaults", _check_unit_interval, 0.0)
 
     appetites_doc = doc.get("appetites", {})
     _require(isinstance(appetites_doc, dict), "field 'appetites' must be an object", "appetites")
     node_ids = {str(node): node for node in range(1, node_count + 1)}
-    max_risk = [default_appetite] * node_count
+    max_risk = [default_risk] * node_count
     for key, value in appetites_doc.items():
         where = f"appetites.{key}"
         _require(key in node_ids, f"appetite key {key!r} is not a node id 1..{node_count}",
                  where)
-        appetite = _as_number(value, "appetite", where)
-        _require(0.0 <= appetite <= 1.0, f"appetite must lie in [0, 1], got {value!r}", where)
-        max_risk[node_ids[key] - 1] = appetite
+        # read as the one field of an object, so that the messages name 'appetite'
+        max_risk[node_ids[key] - 1] = _number({"appetite": value}, "appetite", where,
+                                              _check_unit_interval)
 
     edges_doc = doc.get("edges")
     _require(isinstance(edges_doc, list), "field 'edges' must be a list", "edges")
@@ -140,11 +132,12 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
                 raise NetworkDocumentError(
                     f"field {name!r} references unknown node {value}", where)
             end.append(value)
-        required.append(_get_unit(entry, "required", where))
-        direct_mean.append(_get_unit(entry, "direct_mean", where))
-        indirect_mean.append(_get_unit(entry, "indirect_mean", where))
-        direct_var.append(_get_variance(entry, "direct_variance", default_variance, where))
-        indirect_var.append(_get_variance(entry, "indirect_variance", default_variance, where))
+        required.append(_number(entry, "required", where, _check_unit_interval))
+        direct_mean.append(_number(entry, "direct_mean", where, _check_unit_interval))
+        indirect_mean.append(_number(entry, "indirect_mean", where, _check_unit_interval))
+        direct_var.append(_number(entry, "direct_variance", where, _check_variance, default_var))
+        indirect_var.append(
+            _number(entry, "indirect_variance", where, _check_variance, default_var))
     try:
         return Network(node_count, src, dst, required, direct_mean, direct_var,
                        indirect_mean, indirect_var, max_risk)

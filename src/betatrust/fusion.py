@@ -70,18 +70,22 @@ _MEAN_CEILING = 1.0 - MEAN_EPSILON
 DEFAULT_VARIANCE = 0.01
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)  # bool compares as 0 or 1
+def _real(value):
+    """The number to compute with: None for a non-Real or a bool (it compares as 0 or 1), a
+    numpy float or integer as the Python number of its value (numpy computes in its type)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return None
+    if isinstance(value, np.floating):
+        return float(value)
+    return int(value) if isinstance(value, np.integer) else value
 
 
-# The value rules return the value to compute with: a numpy float as its float
-# (numpy computes in its own type), any other real number as given.
 def _check_unit_interval(name: str, value: float) -> float:
     if type(value) is float:
         if 0.0 <= value <= 1.0:
             return value
-    elif _is_real(value) and 0.0 <= value <= 1.0:
-        return float(value) if isinstance(value, np.floating) else value
+    elif (number := _real(value)) is not None and 0.0 <= number <= 1.0:
+        return number
     raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -89,8 +93,8 @@ def _check_variance(name: str, value: float) -> float:
     if type(value) is float:
         if value > 0.0:
             return value
-    elif _is_real(value) and value > 0.0:
-        return float(value) if isinstance(value, np.floating) else value
+    elif (number := _real(value)) is not None and number > 0.0:
+        return number
     raise InvalidVarianceError(f"{name} must be positive, got {value!r}")
 
 
@@ -114,7 +118,7 @@ class TrustEstimate:
 
     The mean must be a real number in [0, 1] (RangeError), the variance
     one above 0 (InvalidVarianceError); a bool or a str is neither.  A
-    numpy float is stored as the float of the same value.  Whether
+    numpy number is stored as the Python number of its value.  Whether
     a Beta with this mean can have the variance (see moments_to_beta) is
     checked only when the estimate is fused: a request accepted via A
     never inverts its direct estimate, so a source at mean 1.0 with the
@@ -153,7 +157,7 @@ def beta_pdf(params: BetaParams, x: float) -> float:
     raising, so callers can distinguish an unbounded density from a
     domain error (x outside [0, 1], which raises ValueError).
     """
-    _check_unit_interval("x", x)
+    x = _check_unit_interval("x", x)
     a, b = params.alpha, params.beta
     log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     if x == 0.0 or x == 1.0:

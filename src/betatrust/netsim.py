@@ -34,7 +34,7 @@ from .decision import (
     combined_trust,
     fused_code,
 )
-from .errors import ConfigurationError, InvalidVarianceError, RangeError, TrustError
+from .errors import ConfigurationError, TrustError
 from .fusion import DEFAULT_VARIANCE, TrustEstimate, _check_unit_interval, _check_variance
 
 # Committed seed of the fifteen-node reference experiment.  Chosen once
@@ -111,8 +111,8 @@ class Network:
 
     The constructor takes the columns in any edge order and stores
     copies, so the caller's arrays stay writable.  A float value must lie
-    in [0, 1] (RangeError), a variance be positive (InvalidVarianceError);
-    the error names the column and the first edge or node breaking it.
+    in [0, 1] and a variance be positive: fusion's two value rules raise,
+    named after the column and the first edge or node breaking the rule.
     edges reads the columns back as a mapping.
     """
 
@@ -132,15 +132,19 @@ class Network:
         _check_integer("node_count", n)
         if n < 1:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
-        columns = [np.asarray(column) for column in (
-            src, dst, required, direct_mean, direct_variance, indirect_mean, indirect_variance,
-            max_risk)]
-        for name, column in zip(("src", "dst", *EDGE_COLUMNS, "max_risk"), columns):
-            # the casts below would read 1.9 and True as node 1, and True or '0.5' as a number
+        given = (src, dst, required, direct_mean, direct_variance, indirect_mean,
+                 indirect_variance, max_risk)
+        columns = [np.asarray(column) for column in given]
+        for name, column, items in zip(("src", "dst", *EDGE_COLUMNS, "max_risk"), columns, given):
+            # the casts below would read 1.9 and True as node 1, and True or '0.5' as a number;
+            # a list of numbers has their dtype, so its items are scanned for a hidden bool
             ends = name in ("src", "dst")
             kinds, what = ("iu", "integer node ids") if ends else ("iuf", "numbers")
             if column.size and column.dtype.kind not in kinds:
                 raise ConfigurationError(f"{name} must hold {what}, got {column.dtype}")
+            if column.ndim == 1 and not isinstance(items, np.ndarray) and not {
+                    bool, np.bool_}.isdisjoint(map(type, items)):
+                raise ConfigurationError(f"{name} must hold {what}, got bool")
         # copies, so that freezing them below leaves the caller's arrays alone
         src, dst = (np.array(end, dtype=np.int64).reshape(-1) for end in columns[:2])
         *columns, max_risk = (np.array(column, dtype=float).reshape(-1) for column in columns[2:])
@@ -155,14 +159,12 @@ class Network:
         if len(max_risk) != n:
             raise ConfigurationError(f"max_risk has {len(max_risk)} entries, expected {n}")
         for name, column in zip((*EDGE_COLUMNS, "max_risk"), (*columns, max_risk)):
-            if name.endswith("variance"):
-                error, rule, ok = InvalidVarianceError, "be positive", column > 0.0
-            else:
-                error, rule, ok = RangeError, "lie in [0, 1]", (column >= 0.0) & (column <= 1.0)
-            if not ok.all():  # NaN breaks either rule
+            rule, ok = ((_check_variance, column > 0.0) if name.endswith("variance") else
+                        (_check_unit_interval, (column >= 0.0) & (column <= 1.0)))
+            if not ok.all():  # NaN breaks either rule; ok is the rule's own test, so it raises
                 k = int(ok.argmin())
                 where = f"node {k + 1}" if name == "max_risk" else f"edge ({src[k]}, {dst[k]})"
-                raise error(f"{where}: {name} must {rule}, got {float(column[k])!r}")
+                rule(f"{where}: {name}", float(column[k]))
         cell = (src - 1) * n + (dst - 1)
         if np.any(cell[1:] <= cell[:-1]):
             order = np.argsort(cell, kind="stable")

@@ -177,6 +177,7 @@ class TestNetworkDocument:
         ("edge", "direct_mean", ..., "edges[0]", "missing field 'direct_mean'"),
         ("defaults", "max_acceptable_risk", 2, "defaults",
          "field 'max_acceptable_risk' must lie in [0, 1], got 2.0"),
+        ("appetites", "2", 2, "appetites.2", "field 'appetite' must lie in [0, 1], got 2.0"),
         ("edge", "from", 1.0, "edges[0]", "field 'from' must be an integer node id"),
         ("edge", "to", True, "edges[0]", "field 'to' must be an integer node id"),
     ])

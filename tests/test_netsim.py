@@ -261,6 +261,13 @@ class TestColumns:
          "max_risk must hold numbers, got <U32"),
         ({"max_risk": [False, True, False]}, ConfigurationError,
          "max_risk must hold numbers, got bool"),
+        # a bool in a list of numbers, which numpy would cast to the numbers' dtype
+        ({"src": [True, 2], "dst": [2, 3]}, ConfigurationError,
+         "src must hold integer node ids, got bool"),
+        ({"direct_variance": [0.01, np.True_]}, ConfigurationError,
+         "direct_variance must hold numbers, got bool"),
+        ({"max_risk": [0.0, False, 0.5]}, ConfigurationError,
+         "max_risk must hold numbers, got bool"),
         # a network needs a node, columns of one length and an appetite per node
         ({"node_count": 0}, ConfigurationError, "node_count must be >= 1, got 0"),
         ({"dst": [2]}, ConfigurationError, "edge columns differ in length"),

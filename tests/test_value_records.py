@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from betatrust import (
+    ConfigurationError,
     Decision,
     Edge,
     InvalidVarianceError,
     Network,
+    NetworkDocumentError,
     RangeError,
     RiskAppetite,
     ScenarioConfig,
+    TrustError,
     TrustEstimate,
     combined_trust,
     evaluate_request,
@@ -26,8 +29,9 @@ from betatrust import (
     run_assessment,
 )
 from betatrust.decision import TrustRecord
+from betatrust.documents import document_to_network
 from betatrust.fusion import BetaParams, FusionWeights, beta_pdf, moments_to_beta
-from betatrust.netsim import EdgeError
+from betatrust.netsim import EDGE_COLUMNS, EdgeError
 
 RECORDS = [
     TrustEstimate(0.6, 0.02),
@@ -113,10 +117,16 @@ def _true_combiner(direct, indirect):
          InvalidVarianceError, "variance_indirect must be positive, got True"),
         (lambda: evaluate_request(np.True_, TrustEstimate(0.2), TrustEstimate(0.3)), RangeError,
          f"required must lie in [0, 1], got {np.True_!r}"),
+        # numpy gives a list that mixes bools and numbers the numbers' dtype
+        (lambda: Network(2, [1, 2], [2, 1], [True, 0.5], *[[0.5, 0.5]] * 4, [0.0, 0.0]),
+         ConfigurationError, "required must hold numbers, got bool"),
+        (lambda: Network(2, [1], [2], *[[0.5]] * 5, [0.0, np.True_]),
+         ConfigurationError, "max_risk must hold numbers, got bool"),
     ],
     ids=["mean-True", "mean-False", "variance-True", "appetite-True", "appetite-False",
          "scenario-appetite", "required", "combiner", "beta_pdf",
-         "scenario-edge_probability", "scenario-variance", "required-numpy-bool"],
+         "scenario-edge_probability", "scenario-variance", "required-numpy-bool",
+         "Network-column-list", "Network-max_risk-list"],
 )
 def test_a_bool_is_not_a_trust_value(build, error, message):
     with pytest.raises(error) as caught:
@@ -226,45 +236,124 @@ def test_run_assessment_checks_the_combined_value_by_the_policy(value, as_unit):
     assert result.decisions == {}
 
 
-# (T, A, variance of A, B, variance of B, appetite) of requests that reach C
+def _network_door(column):
+    def build(value):
+        fields = {**dict(zip(EDGE_COLUMNS, (0.5, 0.5, 0.01, 0.5, 0.01))), "max_risk": 0.0}
+        fields[column] = value
+        return Network(2, [1], [2], *([fields[name]] for name in EDGE_COLUMNS),
+                       [0.0, fields["max_risk"]])
+    return build
+
+
+def _document_door(section, key):
+    def build(value):
+        doc = {"schema_version": 1, "nodes": [1, 2], "edges": [
+            {"from": 1, "to": 2, "required": 0.5, "direct_mean": 0.5, "indirect_mean": 0.5}]}
+        (doc["edges"][0] if section == "edges" else doc.setdefault(section, {}))[key] = value
+        return document_to_network(doc)
+    return build
+
+
+def _rule(name):
+    return VARIANCE if name.endswith("variance") else UNIT
+
+
+# Every door that takes a trust value or a variance, as (build, name, rule): build(value)
+# passes value through the door, and the error names it with the door's prefix.
+DOORS = {
+    **{entry: ENTRY_POINTS[entry] for entry in (
+        "TrustEstimate.mean", "TrustEstimate.variance", "RiskAppetite",
+        *(entry for entry in ENTRY_POINTS if entry.startswith("ScenarioConfig.")))},
+    **{f"Network.{name}": (_network_door(name), f"edge (1, 2): {name}", _rule(name))
+       for name in EDGE_COLUMNS},
+    "Network.max_risk": (_network_door("max_risk"), "node 2: max_risk", UNIT),
+    **{f"document.edges.{key}": (_document_door("edges", key), f"edges[0]: field {key!r}",
+                                 _rule(key)) for key in EDGE_COLUMNS},
+    **{f"document.defaults.{key}": (_document_door("defaults", key),
+                                    f"defaults: field {key!r}", _rule(key))
+       for key in ("variance", "max_acceptable_risk")},
+    "document.appetites": (_document_door("appetites", "2"), "appetites.2: field 'appetite'",
+                           UNIT),
+}
+
+# Values that break a rule; a document's non-finite numbers fail earlier, as not finite.
+DOOR_VALUES = [-0.5, 1.5, math.nextafter(1.0, 2.0), 0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _breaks(rule, value):
+    return not (0.0 <= value <= 1.0 if rule is UNIT else value > 0.0)
+
+
+@pytest.mark.parametrize("door, value", [
+    pytest.param(door, value, id=f"{door}-{value!r}")
+    for door, (_, _, rule) in DOORS.items() for value in DOOR_VALUES
+    if _breaks(rule, value) and (math.isfinite(value) or not door.startswith("document."))])
+def test_every_door_applies_the_same_rule(door, value):
+    build, name, (error, message) = DOORS[door]
+    with pytest.raises(NetworkDocumentError if door.startswith("document.") else error) as caught:
+        build(value)
+    assert str(caught.value) == message.format(name=name, value=value)
+
+
+# (T, A, variance of A, B, variance of B, appetite) of requests that reach C; a numpy
+# float kind takes every value, an integer kind only the ints
 NUMPY_REQUESTS = [
     (0.9, 0.3, 0.01, 0.4, 0.01, 0.0),
     (0.9, 0.3, 0.02, 0.4, 0.005, 0.6),
     (0.7148, 0.6844, 0.01, 0.0445, 0.01, 1.0),
     (0.5, 0.1, 0.03, 0.2, 0.001, 0.25),
+    (1, 0.3, 0.01, 0.4, 0.01, 0),
+    (1, 0, 1, 0, 1, 1),  # the variance 1 fails the fusion
 ]
 
 
+def _typed(kind, value):
+    return kind(value) if issubclass(kind, np.floating) or type(value) is int else value
+
+
+def _python(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _decide(values, combiner):
+    """The record of the request, or the TrustError it raises."""
     required, a, var_a, b, var_b, appetite = values
-    return evaluate_request(required, TrustEstimate(a, var_a), TrustEstimate(b, var_b),
-                            RiskAppetite(appetite), combiner)
+    try:
+        return evaluate_request(required, TrustEstimate(a, var_a), TrustEstimate(b, var_b),
+                                RiskAppetite(appetite), combiner)
+    except TrustError as exc:
+        return exc
 
 
-@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
-@pytest.mark.parametrize("fixed", [None, 0.375], ids=["beta", "fixed-C"])
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int8, np.int64,
+                                  np.uint64])
+@pytest.mark.parametrize("fixed", [None, 0.375, 0], ids=["beta", "fixed-C", "fixed-C-0"])
 @pytest.mark.parametrize("values", NUMPY_REQUESTS)
-def test_numpy_floats_decide_as_the_floats_of_the_same_value(kind, fixed, values):
-    typed = [kind(value) for value in values]
-    plain = [float(value) for value in typed]
+def test_numpy_numbers_decide_as_the_python_numbers_of_the_same_value(kind, fixed, values):
+    typed = [_typed(kind, value) for value in values]
+    plain = [_python(value) for value in typed]
     combiners = combined_trust, combined_trust
     if fixed is not None:
-        c = kind(fixed)
-        combiners = (lambda direct, indirect: c), (lambda direct, indirect: float(c))
+        c = _typed(kind, fixed)
+        combiners = (lambda direct, indirect: c), (lambda direct, indirect: _python(c))
     record, expected = _decide(typed, combiners[0]), _decide(plain, combiners[1])
-    assert record == expected
-    assert type(record.combined) is float and type(record.risk) is float
-    assert record.combined.hex() == expected.combined.hex()
-    assert record.risk.hex() == expected.risk.hex()
     estimate, appetite = TrustEstimate(typed[1], typed[2]), RiskAppetite(typed[5])
-    assert type(estimate.mean) is type(estimate.variance) is float
-    assert type(appetite.max_acceptable_risk) is float
+    assert [type(estimate.mean), type(estimate.variance), type(appetite.max_acceptable_risk)] \
+        == [type(plain[1]), type(plain[2]), type(plain[5])]
     required, a, var_a, b, var_b, appetite = typed
     network = Network(node_count=2, src=[1], dst=[2], required=[required],
                       direct_mean=[a], direct_variance=[var_a],
                       indirect_mean=[b], indirect_variance=[var_b],
                       max_risk=[appetite, appetite])
     result = run_assessment(network, combiners[0])
+    if isinstance(expected, TrustError):
+        assert (type(record), str(record)) == (type(expected), str(expected))
+        assert [error.kind for error in result.errors] == [type(expected).__name__]
+        return
+    assert record == expected
+    # the same Python numbers, bit for bit: a float's repr gives back its bits
+    assert [(type(x), repr(x)) for x in (record.combined, record.risk)] == [
+        (type(x), repr(x)) for x in (expected.combined, expected.risk)]
     assert result.c_matrix[0, 1] == record.combined and result.r_matrix[0, 1] == record.risk
     assert result.decisions == {(1, 2): record.decision}
 
@@ -280,3 +369,11 @@ def test_a_tiny_numpy_variance_fuses_in_float64():
     assert record.combined == combined_trust(TrustEstimate(0.5, float(tiny)), TrustEstimate(0.4))
     assert record.combined == 0.5
     assert math.isfinite(params.alpha) and math.isfinite(params.beta)
+
+
+def test_a_numpy_number_is_checked_as_the_number_it_is_used_as():
+    tiny = np.longdouble(2.0) ** -1100  # the float 0.0, where a long double is wider
+    with pytest.raises(InvalidVarianceError):
+        TrustEstimate(0.5, tiny)
+    assert TrustEstimate(tiny).mean == 0.0
+    assert beta_pdf(BetaParams(2.0, 3.0), tiny) == 0.0
