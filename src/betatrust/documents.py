@@ -138,9 +138,12 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
         direct_var.append(_number(entry, "direct_variance", where, _check_variance, default_var))
         indirect_var.append(
             _number(entry, "indirect_variance", where, _check_variance, default_var))
+    # arrays, which Network takes without scanning for the bools _number has rejected
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    columns = [np.array(column, dtype=float) for column in (
+        required, direct_mean, direct_var, indirect_mean, indirect_var, max_risk)]
     try:
-        return Network(node_count, src, dst, required, direct_mean, direct_var,
-                       indirect_mean, indirect_var, max_risk)
+        return Network(node_count, src, dst, *columns)
     except ConfigurationError as exc:  # a self-edge or a duplicate edge
         raise NetworkDocumentError(str(exc), "edges") from exc
 

@@ -109,11 +109,11 @@ class Network:
     node_count + dst - 1 of the edge's cell in an n x n matrix.  max_risk
     holds the appetite of node i at index i - 1.
 
-    The constructor takes the columns in any edge order and stores
-    copies, so the caller's arrays stay writable.  A float value must lie
-    in [0, 1] and a variance be positive: fusion's two value rules raise,
-    named after the column and the first edge or node breaking the rule.
-    edges reads the columns back as a mapping.
+    The constructor takes one-dimensional columns in any edge order and
+    stores copies, so the caller's arrays stay writable.  A float value
+    must lie in [0, 1] and a variance be positive: fusion's two value
+    rules raise, named after the column and the first edge or node
+    breaking the rule.  edges reads the columns back as a mapping.
     """
 
     def __init__(
@@ -142,12 +142,14 @@ class Network:
             kinds, what = ("iu", "integer node ids") if ends else ("iuf", "numbers")
             if column.size and column.dtype.kind not in kinds:
                 raise ConfigurationError(f"{name} must hold {what}, got {column.dtype}")
+            if column.ndim > 1:  # flattening it would hide a bool in a nested list
+                raise ConfigurationError(f"{name} must be one-dimensional, got {column.ndim} dims")
             if column.ndim == 1 and not isinstance(items, np.ndarray) and not {
                     bool, np.bool_}.isdisjoint(map(type, items)):
                 raise ConfigurationError(f"{name} must hold {what}, got bool")
         # copies, so that freezing them below leaves the caller's arrays alone
-        src, dst = (np.array(end, dtype=np.int64).reshape(-1) for end in columns[:2])
-        *columns, max_risk = (np.array(column, dtype=float).reshape(-1) for column in columns[2:])
+        src, dst = (np.array(end, dtype=np.int64, ndmin=1) for end in columns[:2])
+        *columns, max_risk = (np.array(column, dtype=float, ndmin=1) for column in columns[2:])
         if any(len(column) != len(src) for column in (dst, *columns)):
             raise ConfigurationError("edge columns differ in length")
         bad = (src == dst) | (src < 1) | (src > n) | (dst < 1) | (dst > n)
@@ -165,7 +167,10 @@ class Network:
                 k = int(ok.argmin())
                 where = f"node {k + 1}" if name == "max_risk" else f"edge ({src[k]}, {dst[k]})"
                 rule(f"{where}: {name}", float(column[k]))
-        cell = (src - 1) * n + (dst - 1)
+        cell = src - 1  # in place, so that no temporary is as long as the column
+        cell *= n
+        cell += dst
+        cell -= 1
         if np.any(cell[1:] <= cell[:-1]):
             order = np.argsort(cell, kind="stable")
             cell, src, dst = cell[order], src[order], dst[order]
@@ -307,15 +312,21 @@ class AssessmentResult:
 def _edge_starts(draws: np.ndarray, probability: float) -> np.ndarray:
     """Positions of the edge records in a run of draws that begins a record.
 
-    A record is one draw u, plus three more when u < probability.
+    A record is one draw u, plus three more when u < probability.  The
+    parse runs in numpy: the first hit (a draw below probability) starts
+    a record, and jump[k] is the hit that starts the record after one at
+    hit k, the first hit four or more draws on.  Pointer doubling follows
+    that chain in log2(records) passes, each appending one jump of every
+    position to the chain and composing jump with itself, until the
+    chain reaches the end, len(hits), which jumps to itself.
     """
-    starts = []
-    free = 0  # first draw not taken by the last edge record
-    for position in np.flatnonzero(draws < probability).tolist():
-        if position >= free:
-            starts.append(position)
-            free = position + 4
-    return np.array(starts, dtype=np.int64)
+    hits = np.flatnonzero(draws < probability)
+    jump = np.append(np.searchsorted(hits, hits + 4), len(hits))
+    chain = np.zeros(1, dtype=np.int64)
+    while chain[-1] < len(hits):
+        chain = np.concatenate((chain, jump[chain]))
+        jump = jump[jump]
+    return hits[chain[:np.searchsorted(chain, len(hits))]]
 
 
 def generate_network(config: ScenarioConfig) -> Network:
@@ -332,6 +343,11 @@ def generate_network(config: ScenarioConfig) -> Network:
     gives the same values as rng.random(k + m), so a chunk whose last
     record runs past its end draws the missing values at once, and the
     chunks consume the uniforms in exactly the order above.
+
+    The edge data is built once: the chunks' pair indexes and values are
+    concatenated and the chunk list dropped, src and dst are derived
+    from the pair index in its own array, and the constant variances go
+    to Network as broadcast views, since Network stores its own copies.
     """
     n = config.node_count
     pairs = n * (n - 1)
@@ -350,12 +366,16 @@ def generate_network(config: ScenarioConfig) -> Network:
         done += len(draws) - 3 * len(starts)
     pair = np.concatenate([pair for pair, _ in found])
     values = np.concatenate([values for _, values in found]).reshape(-1, 3)
-    src, rest = np.divmod(pair, n - 1)
-    dst = rest + (rest >= src)
+    del found
+    src = pair // (n - 1)
+    dst = np.remainder(pair, n - 1, out=pair)  # the rank of j among the nodes other than i
+    dst += dst >= src
+    src += 1
+    dst += 1
     return Network(
-        n, src + 1, dst + 1, values[:, 0],
-        values[:, 1], np.full(len(pair), config.variance_direct, float),
-        values[:, 2], np.full(len(pair), config.variance_indirect, float),
+        n, src, dst, values[:, 0],
+        values[:, 1], np.broadcast_to(float(config.variance_direct), src.shape),
+        values[:, 2], np.broadcast_to(float(config.variance_indirect), src.shape),
         np.full(n, config.max_acceptable_risk, float),
     )
 

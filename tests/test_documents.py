@@ -25,6 +25,7 @@ from betatrust import (
     run_assessment,
     save_network,
 )
+from betatrust import documents
 from betatrust.documents import (
     document_to_network,
     load_bundled_three_node,
@@ -98,6 +99,15 @@ class TestNetworkDocument:
                            variance_direct=0.02, max_acceptable_risk=0.1)
         )
         assert document_to_network(network_to_document(network)) == network
+
+    def test_loader_hands_network_typed_arrays(self, monkeypatch):
+        # lists would make Network scan every item for a bool that the loader rejected
+        doc, given = network_to_document(load_bundled_three_node()), []
+        monkeypatch.setattr(documents, "Network",
+                            lambda node_count, *columns: given.extend(columns))
+        document_to_network(doc)
+        assert [(type(column), column.dtype) for column in given] == (
+            [(np.ndarray, np.int64)] * 2 + [(np.ndarray, np.float64)] * 6)
 
     def test_save_load_round_trip(self, tmp_path):
         network = load_bundled_three_node()

@@ -8,6 +8,7 @@ entry-for-entry against run_assessment on small networks.
 import itertools
 import json
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -184,6 +185,53 @@ def test_generation_follows_draw_order_v1(monkeypatch, chunk):
         assert generate_network(config) == generate_v1(config)
 
 
+def edge_starts_loop(draws, probability):
+    """The per-hit parse: a record starts at each hit that no earlier record covers."""
+    starts = []
+    free = 0  # first draw not taken by the last edge record
+    for position in np.flatnonzero(draws < probability).tolist():
+        if position >= free:
+            starts.append(position)
+            free = position + 4
+    return np.array(starts, dtype=np.int64)
+
+
+def hand_made_chunks():
+    hit, miss = 0.0, 0.75  # against probability 0.5
+    yield [miss] * 9  # no hits
+    yield [hit] * 9  # all hits
+    for last in (1, 2, 3):  # a hit in each of the last three positions
+        yield [miss] * (9 - last) + [hit] + [miss] * (last - 1)
+    for before in (4, 5):  # a run of hits cut by one miss, on a record's start or inside it
+        yield [hit] * before + [miss] + [hit] * 6
+    yield [hit]
+
+
+@pytest.mark.parametrize("draws", [
+    *(np.random.default_rng(seed).random(size) for seed, size in
+      itertools.product(range(3), (1, 2, 5, 9, 64, 1000))),
+    *(np.array(chunk) for chunk in hand_made_chunks()),
+])
+@pytest.mark.parametrize("probability", [0.0, 1e-3, 0.3, 0.5, 0.999, 1.0])
+def test_edge_starts_match_the_per_hit_loop(draws, probability):
+    starts = netsim._edge_starts(draws, probability)
+    assert starts.dtype == np.int64
+    np.testing.assert_array_equal(starts, edge_starts_loop(draws, probability))
+
+
+def test_generation_holds_at_most_twice_its_columns():
+    # a first call in the process would also count the lazy imports it triggers
+    generate_network(ScenarioConfig(seed=1, node_count=3, edge_probability=1.0))
+    tracemalloc.start()
+    try:
+        network = generate_network(ScenarioConfig(seed=501, node_count=300, edge_probability=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = ("src", "dst", "cell", "max_risk", *netsim.EDGE_COLUMNS)
+    assert peak <= 2 * sum(getattr(network, name).nbytes for name in columns)
+
+
 class TestColumns:
     def network(self):
         return generate_network(ScenarioConfig(seed=4, node_count=5, edge_probability=0.6))
@@ -286,6 +334,17 @@ class TestColumns:
             Network(change.get("node_count", 3), *columns,
                     max_risk if isinstance(max_risk, list) else [0.0, max_risk, 0.0])
         assert str(info.value) == message
+
+    def test_nested_list_column_is_rejected(self):
+        # flattened, [[True, 0.5]] would read as required [1.0, 0.5]
+        means, variances = [[0.5, 0.5]], [[0.01, 0.01]]
+        with pytest.raises(ConfigurationError, match="^src must be one-dimensional, got 2 dims$"):
+            Network(3, [[1, 2]], [[2, 3]], [[True, 0.5]], means, variances, means, variances,
+                    [0, 0, 0])
+        with pytest.raises(ConfigurationError,
+                           match="^required must be one-dimensional, got 2 dims$"):
+            Network(3, [1, 2], [2, 3], [[True, 0.5]], [0.5, 0.5], [0.01, 0.01], [0.5, 0.5],
+                    [0.01, 0.01], [0, 0, 0])
 
     def test_numpy_node_count_is_accepted(self):
         network = self.network()
