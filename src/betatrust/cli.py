@@ -7,6 +7,7 @@ than half of the edges that reached C failed.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -129,17 +130,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     network = netsim.generate_network(config)
 
     result = netsim.run_assessment(network, COMBINERS[args.method])
-    sys.stderr.write("".join(
+    sys.stderr.writelines(
         f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}\n"
-        for error in result.errors))
+        for error in result.errors)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    labels = list(range(1, network.node_count + 1))
     matrices_path = args.out / "matrices.csv"
     series_path = args.out / "risk_series.csv"
-    documents.write_matrices(matrices_path, labels, result.as_matrix_dict(),
-                             comments=[f"combiner: {args.method}"])
-    documents.write_risk_table(series_path, labels, result.r_matrix)
+    documents.write_matrices(matrices_path, result, comments=[f"combiner: {args.method}"])
+    documents.write_risk_table(series_path, result)
 
     tally = result.decision_tally()
     print(f"nodes {network.node_count}")
@@ -168,8 +167,13 @@ def _cmd_reproduce_table1(args: argparse.Namespace) -> int:
         comments.append(
             f"variance assumption: direct={DEFAULT_VARIANCE}, indirect={DEFAULT_VARIANCE}"
         )
-    labels = list(range(1, network.node_count + 1))
-    sys.stdout.write(documents.render_matrices(labels, result.as_matrix_dict(), comments))
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # the table goes to the binary stream beneath
+        documents.write_matrices(sys.stdout.buffer, result, comments)
+    else:  # a text-only stream, such as an io.StringIO set by an in-process caller
+        table = io.BytesIO()
+        documents.write_matrices(table, result, comments)
+        sys.stdout.write(table.getvalue().decode())
     return EXIT_OK
 
 

@@ -25,7 +25,8 @@ Matrix table (comma-separated text, diff-friendly): a labels line, then
 the five sections T, A, B, C, R, each one name line followed by n rows
 of "%.4f" cells.  Lines starting with '#' are comments.  A block of 64 float64
 rows in [0, 1], none -0.0, looks its cells up by rint(x * 1e4) and lets "%.4f"
-format any cell within 1e-9 of a half; write_matrices and write_risk_table stream.
+format any cell within 1e-9 of a half.  write_matrices and write_risk_table
+stream an assessment result's tables, each block built from the edge columns.
 """
 from __future__ import annotations
 
@@ -35,13 +36,13 @@ from functools import cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NetworkDocumentError, TrustError
 from .fusion import DEFAULT_VARIANCE, _check_unit_interval, _check_variance
-from .netsim import EDGE_COLUMNS, Network
+from .netsim import EDGE_COLUMNS, AssessmentResult, Network
 
 SCHEMA_VERSION = 1
 MATRIX_SECTIONS = ("T", "A", "B", "C", "R")
@@ -142,6 +143,8 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
     columns = [np.array(column, dtype=float) for column in (
         required, direct_mean, direct_var, indirect_mean, indirect_var, max_risk)]
+    for column in (src, dst, *columns):  # frozen, so that Network keeps them without a copy
+        column.flags.writeable = False
     try:
         return Network(node_count, src, dst, *columns)
     except ConfigurationError as exc:  # a self-edge or a duplicate edge
@@ -200,12 +203,36 @@ def _cells() -> np.ndarray:
     return cells.view("V7").ravel()
 
 
-def _table_rows(matrix: np.ndarray) -> Iterator[bytes]:
-    """Yield the rows of matrix, "%.4f" cells joined by commas, a block at a time."""
-    row_format = ",".join(["%.4f"] * matrix.shape[1]) + "\n"
-    for start in range(0, len(matrix), _BLOCK_ROWS):
-        x = matrix[start:start + _BLOCK_ROWS]
+def _row_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """matrix, _BLOCK_ROWS rows at a time."""
+    return (matrix[start:start + _BLOCK_ROWS] for start in range(0, len(matrix), _BLOCK_ROWS))
+
+
+def _edge_blocks(network: Network, diagonal: float, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The n x n matrix with diagonal on its diagonal, values at the edges' cells and 0
+    elsewhere, _BLOCK_ROWS rows at a time, each block built from zeros in one buffer."""
+    n, cell = network.node_count, network.cell
+    buffer = np.empty((min(_BLOCK_ROWS, n), n))
+    for first in range(0, n, _BLOCK_ROWS):
+        block = buffer[:n - first]
+        block.fill(0.0)
+        flat = block.reshape(-1)
+        flat[first::n + 1] = diagonal
+        low, high = np.searchsorted(cell, (first * n, (first + len(block)) * n))
+        flat[cell[low:high] - first * n] = values[low:high]
+        yield block
+
+
+def _table_rows(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """Yield the rows of each block, "%.4f" cells joined by commas, a block at a time.
+
+    One call formats a whole table: its temporaries then live until the next
+    block's are made, and the allocator reuses their memory block after block
+    instead of handing it back and faulting it in again.
+    """
+    for x in blocks:
         if x.dtype != np.float64 or not ((x <= 1.0) & ~np.signbit(x)).all():  # NaN, x < 0
+            row_format = ",".join(["%.4f"] * x.shape[1]) + "\n"
             yield "".join([row_format % tuple(row.tolist()) for row in x]).encode()
             continue
         y = x * 1e4
@@ -217,21 +244,37 @@ def _table_rows(matrix: np.ndarray) -> Iterator[bytes]:
         yield rows.tobytes()
 
 
-def _matrix_chunks(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
+def _result_rows(result: AssessmentResult) -> dict[str, Iterator[bytes]]:
+    """The rows of each matrix section of result, keyed by section name."""
+    network = result.network
+    sections = (("T", 0.0, network.required), ("A", 1.0, network.direct_mean),
+                ("B", 1.0, network.indirect_mean), ("C", 1.0, result.combined),
+                ("R", 0.0, result.risk))
+    return {name: _table_rows(_edge_blocks(network, diagonal, values))
+            for name, diagonal, values in sections}
+
+
+def _write(out: str | Path | BinaryIO, chunks: Iterator[bytes]) -> None:
+    """Write chunks to out, a binary file or the path of one."""
+    if hasattr(out, "write"):
+        out.writelines(chunks)
+    else:
+        with open(out, "wb") as file:
+            file.writelines(chunks)
+
+
+def _matrix_chunks(labels: Sequence[int], rows: Mapping[str, Iterator[bytes]],
                    comments: Sequence[str]) -> Iterator[bytes]:
-    """Check every section's shape, then return the matrix table lazily."""
-    sections = [(name, _square(name, matrices[name], len(labels))) for name in MATRIX_SECTIONS]
+    """The matrix table, lazily, from each section's rows."""
     head = [MATRIX_HEADER, *(f"# {comment}" for comment in comments),
             "labels," + ",".join(str(label) for label in labels)]
     return chain([("\n".join(head) + "\n").encode()],
-                 *(chain([f"{name}\n".encode()], _table_rows(matrix))
-                   for name, matrix in sections))
+                 *(chain([f"{name}\n".encode()], rows[name]) for name in MATRIX_SECTIONS))
 
 
-def _risk_chunks(labels: Sequence[int], r_matrix: np.ndarray) -> Iterator[bytes]:
-    """Check R's shape, then return the risk table lazily, a row at a time."""
-    rows = (row for block in _table_rows(_square("R", r_matrix, len(labels)))
-            for row in block.splitlines(keepends=True))
+def _risk_chunks(labels: Sequence[int], rows: Iterator[bytes]) -> Iterator[bytes]:
+    """The risk table, lazily, a row at a time, from R's rows."""
+    rows = (row for block in rows for row in block.splitlines(keepends=True))
     head = "node," + ",".join(str(label) for label in labels) + "\n"
     return chain([head.encode()], (f"{label},".encode() + row for label, row in zip(labels, rows)))
 
@@ -239,15 +282,19 @@ def _risk_chunks(labels: Sequence[int], r_matrix: np.ndarray) -> Iterator[bytes]
 def render_matrices(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
                     comments: Sequence[str] = ()) -> str:
     """Render the five named matrices as the comma-separated table format."""
-    return b"".join(_matrix_chunks(labels, matrices, comments)).decode()
+    rows = {name: _table_rows(_row_blocks(_square(name, matrices[name], len(labels))))
+            for name in MATRIX_SECTIONS}
+    return b"".join(_matrix_chunks(labels, rows, comments)).decode()
 
 
-def write_matrices(path: str | Path, labels: Sequence[int],
-                   matrices: Mapping[str, np.ndarray], comments: Sequence[str] = ()) -> None:
-    """Stream render_matrices(labels, matrices, comments) to path; shapes are checked first."""
-    chunks = _matrix_chunks(labels, matrices, comments)
-    with open(path, "wb") as out:
-        out.writelines(chunks)
+def write_matrices(out: str | Path | BinaryIO, result: AssessmentResult,
+                   comments: Sequence[str] = ()) -> None:
+    """Write the matrix table of result to out, a path or a binary file, a block at a time.
+
+    The bytes are render_matrices(range(1, n + 1), result.as_matrix_dict(), comments).
+    """
+    labels = range(1, result.network.node_count + 1)
+    _write(out, _matrix_chunks(labels, _result_rows(result), comments))
 
 
 def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
@@ -287,11 +334,15 @@ def render_risk_table(labels: Sequence[int], r_matrix: np.ndarray) -> str:
 
     The self column carries the diagonal convention 0.
     """
-    return b"".join(_risk_chunks(labels, r_matrix)).decode()
+    rows = _table_rows(_row_blocks(_square("R", r_matrix, len(labels))))
+    return b"".join(_risk_chunks(labels, rows)).decode()
 
 
-def write_risk_table(path: str | Path, labels: Sequence[int], r_matrix: np.ndarray) -> None:
-    """Stream render_risk_table(labels, r_matrix) to path; R's shape is checked first."""
-    chunks = _risk_chunks(labels, r_matrix)
-    with open(path, "wb") as out:
-        out.writelines(chunks)
+def write_risk_table(out: str | Path | BinaryIO, result: AssessmentResult) -> None:
+    """Write the risk table of result to out, a path or a binary file, a row at a time.
+
+    The bytes are render_risk_table(range(1, n + 1), result.r_matrix).
+    """
+    labels = range(1, result.network.node_count + 1)
+    rows = _table_rows(_edge_blocks(result.network, 0.0, result.risk))
+    _write(out, _risk_chunks(labels, rows))

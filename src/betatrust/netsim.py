@@ -9,14 +9,15 @@ A Network is a columnar edge table: one numpy array per edge field, in
 row-major (i, j) order, plus one appetite per node.  Its one constructor
 takes and checks those columns; generate_network and the document loader
 fill them, and an Edge is only read back from them.  Edges are evaluated
-independently, so run_assessment decides all of them with array
-expressions; the scalar combiner gives C or names the error only on the
-edges that its column form leaves without a C (on all that reach C, for
-a combiner that has none).  The result keeps only C, R and the outcomes;
-T, A and B stay in the network.
+independently, so run_assessment decides them with array expressions,
+CHUNK edges at a time; the scalar combiner gives C or names the error
+only on the edges that its column form leaves without a C (on all that
+reach C, for a combiner that has none).  The result is an edge table
+too: C, R and the outcome of every edge; T, A and B stay in the network.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,14 +46,24 @@ FIFTEEN_NODE_SEED = 196
 # The per-edge float columns of a Network, in Edge field order.
 EDGE_COLUMNS = ("required", "direct_mean", "direct_variance", "indirect_mean", "indirect_variance")
 
-# Uniforms taken from the generator at a time by generate_network.
-DRAW_CHUNK = 1 << 16
+# Uniforms taken from the generator at a time by generate_network, and
+# edges decided at a time by run_assessment.
+CHUNK = 1 << 14
 
 
 def _check_integer(name: str, value) -> None:
     # numpy would read True as 1, and reject 1.5 only when generating
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _own(column: np.ndarray, dtype) -> np.ndarray:
+    """column itself if it is a frozen one-dimensional array of dtype, else a frozen copy."""
+    if column.ndim != 1 or column.dtype != dtype or column.flags.writeable:
+        # a copy, so that freezing it leaves the caller's array alone
+        column = np.array(column, dtype=dtype, ndmin=1)
+        column.flags.writeable = False
+    return column
 
 
 def _is_node_id(node, n: int) -> bool:
@@ -109,8 +120,12 @@ class Network:
     node_count + dst - 1 of the edge's cell in an n x n matrix.  max_risk
     holds the appetite of node i at index i - 1.
 
-    The constructor takes one-dimensional columns in any edge order and
-    stores copies, so the caller's arrays stay writable.  A float value
+    The constructor takes one-dimensional columns in any edge order.  A
+    column that is already a read-only one-dimensional ndarray of the
+    column's dtype (int64 for src and dst, float64 for the rest) is
+    stored as given, a 0-stride broadcast view included; any other is
+    copied and frozen, so the caller's writable arrays stay writable.  A
+    column is sorted into row-major order by a copy.  A float value
     must lie in [0, 1] and a variance be positive: fusion's two value
     rules raise, named after the column and the first edge or node
     breaking the rule.  edges reads the columns back as a mapping.
@@ -134,8 +149,13 @@ class Network:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
         given = (src, dst, required, direct_mean, direct_variance, indirect_mean,
                  indirect_variance, max_risk)
-        columns = [np.asarray(column) for column in given]
-        for name, column, items in zip(("src", "dst", *EDGE_COLUMNS, "max_risk"), columns, given):
+        columns = []
+        for name, items in zip(("src", "dst", *EDGE_COLUMNS, "max_risk"), given):
+            try:
+                column = np.asarray(items)
+            except ValueError:  # numpy cannot shape a ragged nested sequence
+                raise ConfigurationError(
+                    f"{name} must be one-dimensional, got a nested sequence") from None
             # the casts below would read 1.9 and True as node 1, and True or '0.5' as a number;
             # a list of numbers has their dtype, so its items are scanned for a hidden bool
             ends = name in ("src", "dst")
@@ -147,9 +167,9 @@ class Network:
             if column.ndim == 1 and not isinstance(items, np.ndarray) and not {
                     bool, np.bool_}.isdisjoint(map(type, items)):
                 raise ConfigurationError(f"{name} must hold {what}, got bool")
-        # copies, so that freezing them below leaves the caller's arrays alone
-        src, dst = (np.array(end, dtype=np.int64, ndmin=1) for end in columns[:2])
-        *columns, max_risk = (np.array(column, dtype=float, ndmin=1) for column in columns[2:])
+            columns.append(column)
+        src, dst = (_own(end, np.int64) for end in columns[:2])
+        *columns, max_risk = (_own(column, np.float64) for column in columns[2:])
         if any(len(column) != len(src) for column in (dst, *columns)):
             raise ConfigurationError("edge columns differ in length")
         bad = (src == dst) | (src < 1) | (src > n) | (dst < 1) | (dst > n)
@@ -180,7 +200,7 @@ class Network:
                 raise ConfigurationError(
                     f"duplicate edge ({src[same[0]]}, {dst[same[0]]})"
                 )
-        for array in (cell, src, dst, max_risk, *columns):
+        for array in (cell, src, dst, *columns):  # cell, and any copies the sort made
             array.flags.writeable = False
         self.node_count = n
         self.src, self.dst, self.cell, self.max_risk = src, dst, cell, max_risk
@@ -265,22 +285,33 @@ def _matrix(n: int, diagonal: float, cell: np.ndarray, values: np.ndarray) -> np
 
 @dataclass(eq=False)
 class AssessmentResult:
-    """What one assessment run computed: C, R and the outcome of every edge.
+    """What one assessment run computed, as columns in the edge order of network.
 
-    Matrix cell [i-1, j-1] belongs to the edge from node i to node j.
-    The C diagonal is 1 and the R diagonal 0; an absent edge, and an edge
-    whose C was never computed (short-circuited or errored), is 0 in
-    both.  as_matrix_dict adds the T, A and B matrices of network.
+    combined holds C and risk R = max(0, T - C) of every edge; both are 0
+    for an edge whose C was never computed (short-circuited or errored).
+    outcome holds the index of each edge's decision in DECISIONS, or
+    FAILED for an edge in errors.
 
-    outcome holds, per edge of network in column order, the index of its
-    decision in DECISIONS, or FAILED for an edge in errors.
+    c_matrix and r_matrix lay C and R out as n x n matrices, built on
+    first access and kept: cell [i-1, j-1] belongs to the edge from node
+    i to node j, the C diagonal is 1, the R diagonal 0, and an absent
+    edge is 0 in both.  as_matrix_dict adds the T, A and B matrices of
+    network.
     """
 
     network: Network
-    c_matrix: np.ndarray
-    r_matrix: np.ndarray
+    combined: np.ndarray
+    risk: np.ndarray
     outcome: np.ndarray
     errors: list[EdgeError]
+
+    @cached_property
+    def c_matrix(self) -> np.ndarray:
+        return _matrix(self.network.node_count, 1.0, self.network.cell, self.combined)
+
+    @cached_property
+    def r_matrix(self) -> np.ndarray:
+        return _matrix(self.network.node_count, 0.0, self.network.cell, self.risk)
 
     @cached_property
     def decisions(self) -> dict[tuple[int, int], Decision]:
@@ -305,8 +336,9 @@ class AssessmentResult:
 
     def decision_tally(self) -> dict[str, int]:
         """Count of edges per decision name, every outcome listed."""
-        counts = np.bincount(self.outcome[self.outcome != FAILED], minlength=len(DECISIONS))
-        return {decision.value: int(count) for decision, count in zip(DECISIONS, counts)}
+        # one comparison per decision; np.bincount would cast outcome to an intp copy
+        return {decision.value: int(np.count_nonzero(self.outcome == code))
+                for code, decision in enumerate(DECISIONS)}
 
 
 def _edge_starts(draws: np.ndarray, probability: float) -> np.ndarray:
@@ -329,6 +361,13 @@ def _edge_starts(draws: np.ndarray, probability: float) -> np.ndarray:
     return hits[chain[:np.searchsorted(chain, len(hits))]]
 
 
+def _capacity(pairs: int, probability: float) -> int:
+    """Room for the edges of pairs draws at probability: six standard deviations
+    above the mean of their Binomial(pairs, probability) count, and never past pairs."""
+    mean = pairs * probability
+    return min(pairs, int(mean + 6.0 * math.sqrt(mean * (1.0 - probability))) + 16)
+
+
 def generate_network(config: ScenarioConfig) -> Network:
     """Draw a random network from the seeded generator.
 
@@ -338,99 +377,112 @@ def generate_network(config: ScenarioConfig) -> Network:
     uniform each for the required trust, the direct mean and the
     indirect mean.
 
-    The uniforms are taken at most DRAW_CHUNK at a time, and each chunk
-    starts on an edge record.  rng.random(k) followed by rng.random(m)
-    gives the same values as rng.random(k + m), so a chunk whose last
-    record runs past its end draws the missing values at once, and the
-    chunks consume the uniforms in exactly the order above.
+    The uniforms are taken at most CHUNK at a time, and each chunk starts
+    on an edge record.  rng.random(k) followed by rng.random(m) gives the
+    same values as rng.random(k + m), so a chunk whose last record runs
+    past its end draws the missing values at once, and the chunks consume
+    the uniforms in exactly the order above.
 
-    The edge data is built once: the chunks' pair indexes and values are
-    concatenated and the chunk list dropped, src and dst are derived
-    from the pair index in its own array, and the constant variances go
-    to Network as broadcast views, since Network stores its own copies.
+    The edge data is written once, chunk by chunk, into rows sized for
+    the edge count, a Binomial(pairs, p) variable: _capacity leaves room
+    for six standard deviations above its mean, and the rare run that
+    needs more widens the rows.  The columns are views of those rows,
+    frozen, so Network stores them as they are; the constant variances
+    are 0-stride broadcast views.
     """
     n = config.node_count
     pairs = n * (n - 1)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    found: list[tuple[np.ndarray, np.ndarray]] = []  # (pair index, three values) per chunk
+    ends = np.empty((2, _capacity(pairs, config.edge_probability)), np.int64)  # src, dst
+    values = np.empty((3, ends.shape[1]))  # required, direct mean, indirect mean
+    edges = 0  # edges found
     done = 0  # pairs whose draws are taken
     while done < pairs:
-        draws = rng.random(min(DRAW_CHUNK, pairs - done))
+        draws = rng.random(min(CHUNK, pairs - done))
         starts = _edge_starts(draws, config.edge_probability)
         if len(starts) and starts[-1] + 4 > len(draws):
             draws = np.concatenate((draws, rng.random(starts[-1] + 4 - len(draws))))
+        if edges + len(starts) > ends.shape[1]:  # past six standard deviations: widen
+            more = ((0, 0), (0, max(ends.shape[1], edges + len(starts) - ends.shape[1])))
+            ends, values = np.pad(ends, more), np.pad(values, more)
+        found = slice(edges, edges + len(starts))
         # pair index of each edge in the chunk: every earlier pair took one
-        # draw, every earlier edge three more
-        found.append((done + starts - 3 * np.arange(len(starts)),
-                      draws[starts[:, None] + np.arange(1, 4)]))
+        # draw, every earlier edge three more; dst - 1 is first the rank of
+        # j among the nodes other than i
+        src, dst = np.divmod(done + starts - 3 * np.arange(len(starts)), n - 1)
+        dst += dst >= src
+        ends[:, found] = src + 1, dst + 1
+        for k in (1, 2, 3):
+            values[k - 1, found] = draws[starts + k]
+        edges += len(starts)
         done += len(draws) - 3 * len(starts)
-    pair = np.concatenate([pair for pair, _ in found])
-    values = np.concatenate([values for _, values in found]).reshape(-1, 3)
-    del found
-    src = pair // (n - 1)
-    dst = np.remainder(pair, n - 1, out=pair)  # the rank of j among the nodes other than i
-    dst += dst >= src
-    src += 1
-    dst += 1
+    max_risk = np.full(n, config.max_acceptable_risk, float)
+    for array in (ends, values, max_risk):
+        array.flags.writeable = False
+    (src, dst), (required, direct_mean, indirect_mean) = ends[:, :edges], values[:, :edges]
     return Network(
-        n, src, dst, values[:, 0],
-        values[:, 1], np.broadcast_to(float(config.variance_direct), src.shape),
-        values[:, 2], np.broadcast_to(float(config.variance_indirect), src.shape),
-        np.full(n, config.max_acceptable_risk, float),
+        n, src, dst, required,
+        direct_mean, np.broadcast_to(float(config.variance_direct), src.shape),
+        indirect_mean, np.broadcast_to(float(config.variance_indirect), src.shape),
+        max_risk,
     )
 
 
 def run_assessment(network: Network, combiner: Combiner = combined_trust) -> AssessmentResult:
-    """Decide every edge of the network and fill the C and R matrices.
+    """Decide every edge of the network and fill its C and R columns.
 
     The evaluating node of edge (i, j) is i, so its appetite applies.
     Every edge ends in exactly one of decisions and errors, with the
     outcome the scalar decision chain gives it.  A TrustError on one edge
     (a fusion failure, or a combiner value not a real number in [0, 1])
-    poisons only that edge: its C and R cells stay 0, no decision is
-    recorded, and an EdgeError named after the exception class is
-    appended while the remaining edges proceed.
+    poisons only that edge: its C and R stay 0, no decision is recorded,
+    and an EdgeError named after the exception class is appended while
+    the remaining edges proceed.  errors follow the edge order.
 
-    A combiner listed in COLUMN_COMBINERS gives C for all edges that
-    reach it at once.  The scalar combiner then runs once on each of
-    those edges left without a C in [0, 1] (all of them, for any other
-    combiner), only to supply that C or to raise the edge's error.  One
-    array pass sets R and, through fused_code, the decision of every
-    edge that has a C.
+    The edges are decided CHUNK at a time.  A combiner listed in
+    COLUMN_COMBINERS gives C for all edges of a chunk that reach it at
+    once.  The scalar combiner then runs once on each of those edges left
+    without a C in [0, 1] (all of them, for any other combiner), only to
+    supply that C or to raise the edge's error.  One array pass sets R
+    and, through fused_code, the decision of every edge that has a C.
     """
-    required = network.required
-    outcome = np.full(len(required), FAILED, dtype=np.int8)
-    direct = network.direct_mean >= required
-    indirect = ~direct & (network.indirect_mean >= required)
-    outcome[direct] = DECISIONS.index(Decision.ACCEPT_DIRECT)
-    outcome[indirect] = DECISIONS.index(Decision.ACCEPT_INDIRECT)
-    fused = np.flatnonzero(~direct & ~indirect)
-    columns = COLUMN_COMBINERS.get(combiner)
-    value = np.full(len(fused), np.nan) if columns is None else columns(
-        network.direct_mean[fused], network.direct_variance[fused],
-        network.indirect_mean[fused], network.indirect_variance[fused])
-    valid = (value >= 0.0) & (value <= 1.0)  # False for NaN
+    size = len(network.src)
+    outcome = np.full(size, FAILED, dtype=np.int8)
+    combined, risk = np.zeros(size), np.zeros(size)
     errors: list[EdgeError] = []
-    missing = np.flatnonzero(~valid)
-    for k, i, j, direct_mean, direct_var, indirect_mean, indirect_var in zip(
-        missing.tolist(), *(column[fused[missing]].tolist() for column in (
-            network.src, network.dst, network.direct_mean, network.direct_variance,
-            network.indirect_mean, network.indirect_variance))
-    ):
-        try:  # checked before it is stored, where a NaN would read np.float64(nan)
-            value[k] = _check_unit_interval("achieved", combiner(
-                TrustEstimate(direct_mean, direct_var),
-                TrustEstimate(indirect_mean, indirect_var)))
-        except TrustError as exc:
-            errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
-        else:
-            valid[k] = True
-    decided, value = fused[valid], value[valid]
-    risk = np.maximum(required[decided] - value, 0.0)
-    outcome[decided] = fused_code(risk, network.max_risk[network.src[decided] - 1])
-    n, cell = network.node_count, network.cell[decided]
-    return AssessmentResult(network, _matrix(n, 1.0, cell, value), _matrix(n, 0.0, cell, risk),
-                            outcome, errors)
+    columns = COLUMN_COMBINERS.get(combiner)
+    for start in range(0, size, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        required, direct_mean, direct_var, indirect_mean, indirect_var = (
+            getattr(network, name)[chunk] for name in EDGE_COLUMNS)
+        direct = direct_mean >= required
+        indirect = ~direct & (indirect_mean >= required)
+        outcome[chunk][direct] = DECISIONS.index(Decision.ACCEPT_DIRECT)
+        outcome[chunk][indirect] = DECISIONS.index(Decision.ACCEPT_INDIRECT)
+        fused = np.flatnonzero(~direct & ~indirect)
+        value = np.full(len(fused), np.nan) if columns is None else columns(
+            direct_mean[fused], direct_var[fused], indirect_mean[fused], indirect_var[fused])
+        valid = (value >= 0.0) & (value <= 1.0)  # False for NaN
+        missing = np.flatnonzero(~valid)
+        for k, i, j, direct_m, direct_v, indirect_m, indirect_v in zip(
+            missing.tolist(), *(column[fused[missing]].tolist() for column in (
+                network.src[chunk], network.dst[chunk], direct_mean, direct_var,
+                indirect_mean, indirect_var))
+        ):
+            try:  # checked before it is stored, where a NaN would read np.float64(nan)
+                value[k] = _check_unit_interval("achieved", combiner(
+                    TrustEstimate(direct_m, direct_v), TrustEstimate(indirect_m, indirect_v)))
+            except TrustError as exc:
+                errors.append(EdgeError(i, j, type(exc).__name__, str(exc)))
+            else:
+                valid[k] = True
+        decided, value = fused[valid], value[valid]
+        shortfall = np.maximum(required[decided] - value, 0.0)
+        decided += start
+        outcome[decided] = fused_code(shortfall, network.max_risk[network.src[decided] - 1])
+        combined[decided] = value
+        risk[decided] = shortfall
+    return AssessmentResult(network, combined, risk, outcome, errors)
 
 
 def fifteen_node_config() -> ScenarioConfig:

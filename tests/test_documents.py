@@ -1,5 +1,6 @@
 """File-format tests: network documents and matrix tables."""
 import hashlib
+import io
 import math
 import re
 from importlib import resources
@@ -17,6 +18,7 @@ from betatrust import (
     RiskAppetite,
     ScenarioConfig,
     TrustEstimate,
+    combined_trust,
     generate_network,
     load_network,
     parse_matrices,
@@ -26,6 +28,7 @@ from betatrust import (
     save_network,
 )
 from betatrust import documents
+from betatrust.decision import average_combiner
 from betatrust.documents import (
     document_to_network,
     load_bundled_three_node,
@@ -53,14 +56,14 @@ def expected_tables(labels, matrices, comments=()):
 
 
 def assert_tables_match_the_format_spec(tmp_path, labels, matrices, comments=()):
-    """render_* and write_* both give exactly the per-value tables."""
+    """render_matrices and render_risk_table give exactly the per-value tables.
+
+    The writers format their blocks with the same code, and equal the renderers
+    byte for byte (TestFixedWidthRendering.test_written_files_equal_the_rendered_strings).
+    """
     table, risk = expected_tables(labels, matrices, comments)
     assert render_matrices(labels, matrices, comments) == table
     assert render_risk_table(labels, matrices["R"]) == risk
-    write_matrices(tmp_path / "matrices.csv", labels, matrices, comments)
-    write_risk_table(tmp_path / "risk_series.csv", labels, matrices["R"])
-    assert (tmp_path / "matrices.csv").read_bytes() == table.encode()
-    assert (tmp_path / "risk_series.csv").read_bytes() == risk.encode()
 
 
 def rounding_boundaries():
@@ -70,6 +73,21 @@ def rounding_boundaries():
     centres = np.concatenate((halves, ties, [0.99995]))
     neighbours = (np.nextafter(centres, 0.0), np.nextafter(centres, 1.0))
     return np.concatenate((centres, *neighbours, [0.0, 1.0, 5e-324, 1 - 2**-53]))
+
+
+def boundary_network():
+    """A complete network whose T, A and B hold every rounding boundary, and some -0.0."""
+    values = rounding_boundaries()
+    n = math.isqrt(len(values)) + 2
+    rng = np.random.default_rng(7)
+    padded = np.concatenate((values, rng.random(n * (n - 1) - len(values))))
+    src, dst = (end.ravel() + 1 for end in np.nonzero(~np.eye(n, dtype=bool)))
+    means = [rng.permutation(padded) for _ in range(3)]
+    for column in means:
+        column[rng.integers(0, len(column), 5)] = -0.0
+    variances = np.full(len(src), 0.01)
+    return Network(n, src, dst, means[0], means[1], variances, means[2], variances,
+                   rng.random(n) / 10)
 
 
 def minimal_document():
@@ -108,6 +126,8 @@ class TestNetworkDocument:
         document_to_network(doc)
         assert [(type(column), column.dtype) for column in given] == (
             [(np.ndarray, np.int64)] * 2 + [(np.ndarray, np.float64)] * 6)
+        # frozen, so that Network keeps them without a copy
+        assert not any(column.flags.writeable for column in given)
 
     def test_save_load_round_trip(self, tmp_path):
         network = load_bundled_three_node()
@@ -390,22 +410,22 @@ class TestMatrixTable:
 
     @pytest.mark.parametrize("shape, labels", [((3, 3), [1, 2]), ((2, 5), [1, 2]),
                                                ((2, 2), [1, 2, 3])])
-    def test_risk_table_rejects_a_matrix_of_another_shape(self, tmp_path, shape, labels):
+    def test_risk_table_rejects_a_matrix_of_another_shape(self, shape, labels):
         message = re.escape(f"matrix R has shape {shape}, expected")
         with pytest.raises(ValueError, match=message):
             render_risk_table(labels, np.zeros(shape))
-        path = tmp_path / "risk_series.csv"
-        with pytest.raises(ValueError, match=message):
-            write_risk_table(path, labels, np.zeros(shape))
-        assert not path.exists()
 
-    def test_write_rejects_a_wrong_shape_before_opening_the_file(self, tmp_path):
-        matrices = {name: np.zeros((2, 2)) for name in "TABCR"}
-        matrices["R"] = np.zeros((2, 3))
-        path = tmp_path / "matrices.csv"
-        with pytest.raises(ValueError, match=re.escape("matrix R has shape (2, 3)")):
-            write_matrices(path, [1, 2], matrices)
-        assert not path.exists()
+    def test_writers_take_a_path_or_a_binary_file(self, tmp_path):
+        result = run_assessment(load_bundled_three_node())
+        for write in (write_matrices, write_risk_table):
+            path = tmp_path / f"{write.__name__}.csv"
+            write(path, result)
+            buffer = io.BytesIO()
+            write(buffer, result)
+            assert buffer.getvalue() == path.read_bytes()
+            with open(path, "ab") as file:  # a file object is written to, not reopened
+                write(file, result)
+            assert path.read_bytes() == 2 * buffer.getvalue()
 
 
 class TestFixedWidthRendering:
@@ -454,15 +474,23 @@ class TestFixedWidthRendering:
         pytest.param(generate_network(ScenarioConfig(seed=3, node_count=7,
                                                      edge_probability=0.0)), id="edgeless"),
         pytest.param(load_bundled_three_node(), id="three-node"),
+        # three blocks of rows, edge errors, and edges in the last row and column
+        pytest.param(generate_network(ScenarioConfig(seed=5, node_count=150, edge_probability=0.3,
+                                                     variance_direct=0.05)), id="n=150"),
+        pytest.param(generate_network(ScenarioConfig(seed=6, node_count=64,
+                                                     edge_probability=1.0)), id="one-block"),
+        pytest.param(generate_network(ScenarioConfig(seed=6, node_count=65,
+                                                     edge_probability=1.0)), id="one-row-more"),
+        pytest.param(boundary_network(), id="rounding-boundaries"),
     ])
-    def test_written_files_equal_the_rendered_strings(self, tmp_path, network):
-        result = run_assessment(network)
+    @pytest.mark.parametrize("combiner", [combined_trust, average_combiner])
+    def test_written_files_equal_the_rendered_strings(self, tmp_path, network, combiner):
+        result = run_assessment(network, combiner)
         labels = list(range(1, network.node_count + 1))
-        matrices = result.as_matrix_dict()
-        write_matrices(tmp_path / "matrices.csv", labels, matrices, ["combiner: beta"])
-        write_risk_table(tmp_path / "risk_series.csv", labels, result.r_matrix)
+        write_matrices(tmp_path / "matrices.csv", result, ["combiner: beta"])
+        write_risk_table(tmp_path / "risk_series.csv", result)
         assert (tmp_path / "matrices.csv").read_bytes() == render_matrices(
-            labels, matrices, ["combiner: beta"]).encode()
+            labels, result.as_matrix_dict(), ["combiner: beta"]).encode()
         assert (tmp_path / "risk_series.csv").read_bytes() == render_risk_table(
             labels, result.r_matrix).encode()
 

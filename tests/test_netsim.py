@@ -8,6 +8,7 @@ entry-for-entry against run_assessment on small networks.
 import itertools
 import json
 import math
+import os
 import tracemalloc
 from collections.abc import Mapping
 
@@ -34,8 +35,13 @@ from betatrust import (
     run_assessment,
 )
 from betatrust import netsim
-from betatrust.decision import COMBINERS, average_combiner
-from betatrust.documents import load_bundled_three_node, network_to_document
+from betatrust.decision import COMBINERS, DECISIONS, FAILED, average_combiner
+from betatrust.documents import (
+    load_bundled_three_node,
+    network_to_document,
+    write_matrices,
+    write_risk_table,
+)
 from betatrust.fusion import MEAN_EPSILON
 
 COMBINED_13 = 0.6060471220991707
@@ -174,15 +180,35 @@ def generate_v1(config):
                               [config.max_acceptable_risk] * config.node_count)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 17, netsim.DRAW_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 17, netsim.CHUNK])
 def test_generation_follows_draw_order_v1(monkeypatch, chunk):
     # small chunks cut edge records at every possible offset
-    monkeypatch.setattr(netsim, "DRAW_CHUNK", chunk)
+    monkeypatch.setattr(netsim, "CHUNK", chunk)
     for seed, nodes, probability in [(0, 2, 0.5), (3, 7, 0.0), (5, 7, 1.0), (11, 12, 0.3),
                                      (196, 15, 0.3), (8, 9, 0.95)]:
         config = ScenarioConfig(seed=seed, node_count=nodes, edge_probability=probability,
                                 variance_direct=0.02, max_acceptable_risk=0.1)
         assert generate_network(config) == generate_v1(config)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 17, netsim.CHUNK])
+@pytest.mark.parametrize("room", [0, 1, 5])
+def test_generation_widens_rows_too_short_for_the_edges(monkeypatch, chunk, room):
+    # the estimate leaves room for six standard deviations; here it leaves almost none
+    monkeypatch.setattr(netsim, "CHUNK", chunk)
+    monkeypatch.setattr(netsim, "_capacity", lambda pairs, probability: room)
+    for seed, nodes, probability in [(0, 2, 0.5), (5, 7, 1.0), (11, 12, 0.3), (8, 9, 0.95)]:
+        config = ScenarioConfig(seed=seed, node_count=nodes, edge_probability=probability)
+        assert generate_network(config) == generate_v1(config)
+
+
+@pytest.mark.parametrize("pairs, probability", [(2, 0.0), (2, 1.0), (89_700, 1.0),
+                                                (89_700, 0.5), (8_997_000, 0.01), (10**8, 1e-6)])
+def test_capacity_covers_six_standard_deviations(pairs, probability):
+    mean = pairs * probability
+    room = netsim._capacity(pairs, probability)
+    assert room == pairs or room >= mean + 6 * math.sqrt(mean * (1 - probability))
+    assert room <= pairs
 
 
 def edge_starts_loop(draws, probability):
@@ -219,7 +245,17 @@ def test_edge_starts_match_the_per_hit_loop(draws, probability):
     np.testing.assert_array_equal(starts, edge_starts_loop(draws, probability))
 
 
-def test_generation_holds_at_most_twice_its_columns():
+def owned_bytes(arrays):
+    """Bytes of the buffers under arrays, each distinct base buffer counted once."""
+    bases = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        bases[id(array)] = array.nbytes
+    return sum(bases.values())
+
+
+def test_generation_peaks_within_a_quarter_above_what_the_network_owns():
     # a first call in the process would also count the lazy imports it triggers
     generate_network(ScenarioConfig(seed=1, node_count=3, edge_probability=1.0))
     tracemalloc.start()
@@ -229,7 +265,23 @@ def test_generation_holds_at_most_twice_its_columns():
     finally:
         tracemalloc.stop()
     columns = ("src", "dst", "cell", "max_risk", *netsim.EDGE_COLUMNS)
-    assert peak <= 2 * sum(getattr(network, name).nbytes for name in columns)
+    assert peak <= 1.25 * owned_bytes(getattr(network, name) for name in columns)
+
+
+def test_a_simulate_run_holds_no_dense_matrix():
+    n = 1000
+    generate_network(ScenarioConfig(seed=1, node_count=3, edge_probability=1.0))
+    tracemalloc.start()
+    try:
+        network = generate_network(ScenarioConfig(seed=3, node_count=n, edge_probability=0.002))
+        result = run_assessment(network)
+        write_matrices(os.devnull, result, ["combiner: beta"])
+        write_risk_table(os.devnull, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(network.src) > 1000
+    assert peak < n * n * 8
 
 
 class TestColumns:
@@ -254,6 +306,27 @@ class TestColumns:
         for column in (*self.columns(network), network.max_risk):
             with pytest.raises(ValueError):
                 column[0] = 0.5
+
+    def test_frozen_columns_are_kept_and_writable_ones_copied(self):
+        network = self.network()
+        frozen = self.columns(network)
+        writable = [column.copy() for column in frozen]
+        for given, stored in zip(frozen, self.columns(Network(5, *frozen, network.max_risk))):
+            assert stored is given and np.shares_memory(stored, given)
+        for given, stored in zip(writable, self.columns(Network(5, *writable, network.max_risk))):
+            assert not np.shares_memory(stored, given)
+            assert given.flags.writeable and not stored.flags.writeable
+
+    @pytest.mark.parametrize("dtype, kept", [(np.float64, True), (np.float32, False)])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_column_is_kept_only_frozen_and_of_its_dtype(self, dtype, kept, writeable):
+        required = np.array([0.75, 0.5, 0.25], dtype=dtype)[::-2]  # a strided view
+        required.flags.writeable = writeable
+        ones = np.full(2, 0.5)
+        network = Network(2, [1, 2], [2, 1], required, ones, ones, ones, ones, np.zeros(2))
+        assert np.shares_memory(network.required, required) == (kept and not writeable)
+        assert network.required.tolist() == [0.25, 0.75]
+        assert not network.required.flags.writeable
 
     def test_caller_arrays_stay_writable(self):
         src, dst = np.array([2, 1]), np.array([1, 2])
@@ -345,6 +418,15 @@ class TestColumns:
                            match="^required must be one-dimensional, got 2 dims$"):
             Network(3, [1, 2], [2, 3], [[True, 0.5]], [0.5, 0.5], [0.01, 0.01], [0.5, 0.5],
                     [0.01, 0.01], [0, 0, 0])
+
+    def test_ragged_column_is_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^dst must be one-dimensional, got a nested sequence$"):
+            Network(3, [1, 2], [[2], 3], [0.5, 0.5], [0.5, 0.5], [0.01, 0.01], [0.5, 0.5],
+                    [0.01, 0.01], [0, 0, 0])
+        with pytest.raises(ConfigurationError, match="^max_risk must be one-dimensional"):
+            Network(3, [1, 2], [2, 3], [0.5, 0.5], [0.5, 0.5], [0.01, 0.01], [0.5, 0.5],
+                    [0.01, 0.01], [0, [0, 1], 0])
 
     def test_numpy_node_count_is_accepted(self):
         network = self.network()
@@ -519,6 +601,18 @@ class TestRunAssessment:
         assert result.decisions == {(2, 1): Decision.ACCEPT_DIRECT}
         assert result.c_matrix[0, 1] == 0.0 and result.r_matrix[0, 1] == 0.0
 
+    def test_matrices_are_built_once_from_the_columns(self):
+        network = load_bundled_three_node()
+        result = run_assessment(network)
+        assert result.c_matrix is result.c_matrix and result.r_matrix is result.r_matrix
+        assert result.as_matrix_dict()["C"] is result.c_matrix
+        cells = (network.src - 1, network.dst - 1)
+        assert result.c_matrix[cells].tolist() == result.combined.tolist()
+        assert result.r_matrix[cells].tolist() == result.risk.tolist()
+        assert np.diag(result.c_matrix).tolist() == [1.0] * 3
+        short_circuited = result.outcome < DECISIONS.index(Decision.ACCEPT_COMBINED)
+        assert result.combined[short_circuited].tolist() == [0.0] * 4
+
     def test_appetite_of_evaluating_node_applies(self):
         edges = {(1, 2): Edge(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))}
         lenient = network_from_edges(2, edges, [1.0, 0.0])
@@ -682,6 +776,37 @@ def test_columns_match_per_edge_evaluation(combiner, network, tie):
         assert float(result.c_matrix[i - 1, j - 1]).hex() == combined.hex()
         assert float(result.r_matrix[i - 1, j - 1]).hex() == risk.hex()
     assert sum(result.decision_tally().values()) == len(result.decisions)
+
+
+def wrapped_combined_trust(direct, indirect):
+    """combined_trust behind a plain scalar call, as a tracing wrapper hands it over."""
+    return combined_trust(direct, indirect)
+
+
+@pytest.mark.parametrize("combiner", [combined_trust, average_combiner, custom_combiner,
+                                      wrapped_combined_trust])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 17, netsim.CHUNK])
+def test_blocks_decide_every_edge_as_evaluate_request(monkeypatch, combiner, chunk):
+    """Outcomes, C, R and the ordered errors do not depend on how many edges a block holds."""
+    monkeypatch.setattr(netsim, "CHUNK", chunk)
+    # the wide direct variance fails the moment inversion of means near 0 and 1
+    network = generate_network(ScenarioConfig(
+        seed=2, node_count=12, edge_probability=0.8, variance_direct=0.09,
+        variance_indirect=0.05, max_acceptable_risk=0.1))
+    expected = per_edge_outcomes(network, combiner)
+    result = run_assessment(network, combiner)
+    outcomes = [outcome for outcome, _, _ in expected.values()]
+    assert result.outcome.tolist() == [
+        DECISIONS.index(o) if isinstance(o, Decision) else FAILED for o in outcomes]
+    assert result.combined.tolist() == [combined for _, combined, _ in expected.values()]
+    assert result.risk.tolist() == [risk for _, _, risk in expected.values()]
+    assert [(e.from_node, e.to_node, (e.kind, e.message)) for e in result.errors] == [
+        (i, j, outcome) for (i, j), (outcome, _, _) in expected.items()
+        if not isinstance(outcome, Decision)]
+    # the network reaches every branch but, averaged, AcceptCombined, and every combiner
+    # but the average fails on some edge
+    assert len({o for o in outcomes if isinstance(o, Decision)}) >= 4
+    assert bool(result.errors) is (combiner is not average_combiner)
 
 
 class TestRiskSeries:
