@@ -7,7 +7,6 @@ than half of the edges that reached C failed.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -167,13 +166,8 @@ def _cmd_reproduce_table1(args: argparse.Namespace) -> int:
         comments.append(
             f"variance assumption: direct={DEFAULT_VARIANCE}, indirect={DEFAULT_VARIANCE}"
         )
-    if hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()  # the table goes to the binary stream beneath
-        documents.write_matrices(sys.stdout.buffer, result, comments)
-    else:  # a text-only stream, such as an io.StringIO set by an in-process caller
-        table = io.BytesIO()
-        documents.write_matrices(table, result, comments)
-        sys.stdout.write(table.getvalue().decode())
+    labels = list(range(1, network.node_count + 1))
+    sys.stdout.write(documents.render_matrices(labels, result.as_matrix_dict(), comments))
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from functools import cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,15 +254,6 @@ def _result_rows(result: AssessmentResult) -> dict[str, Iterator[bytes]]:
             for name, diagonal, values in sections}
 
 
-def _write(out: str | Path | BinaryIO, chunks: Iterator[bytes]) -> None:
-    """Write chunks to out, a binary file or the path of one."""
-    if hasattr(out, "write"):
-        out.writelines(chunks)
-    else:
-        with open(out, "wb") as file:
-            file.writelines(chunks)
-
-
 def _matrix_chunks(labels: Sequence[int], rows: Mapping[str, Iterator[bytes]],
                    comments: Sequence[str]) -> Iterator[bytes]:
     """The matrix table, lazily, from each section's rows."""
@@ -287,14 +278,16 @@ def render_matrices(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
     return b"".join(_matrix_chunks(labels, rows, comments)).decode()
 
 
-def write_matrices(out: str | Path | BinaryIO, result: AssessmentResult,
+def write_matrices(path: str | Path, result: AssessmentResult,
                    comments: Sequence[str] = ()) -> None:
-    """Write the matrix table of result to out, a path or a binary file, a block at a time.
+    """Write the matrix table of result to path, a block at a time.
 
     The bytes are render_matrices(range(1, n + 1), result.as_matrix_dict(), comments).
     """
     labels = range(1, result.network.node_count + 1)
-    _write(out, _matrix_chunks(labels, _result_rows(result), comments))
+    chunks = _matrix_chunks(labels, _result_rows(result), comments)
+    with open(path, "wb") as out:
+        out.writelines(chunks)
 
 
 def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
@@ -338,11 +331,12 @@ def render_risk_table(labels: Sequence[int], r_matrix: np.ndarray) -> str:
     return b"".join(_risk_chunks(labels, rows)).decode()
 
 
-def write_risk_table(out: str | Path | BinaryIO, result: AssessmentResult) -> None:
-    """Write the risk table of result to out, a path or a binary file, a row at a time.
+def write_risk_table(path: str | Path, result: AssessmentResult) -> None:
+    """Write the risk table of result to path, a row at a time.
 
     The bytes are render_risk_table(range(1, n + 1), result.r_matrix).
     """
     labels = range(1, result.network.node_count + 1)
-    rows = _table_rows(_edge_blocks(result.network, 0.0, result.risk))
-    _write(out, _risk_chunks(labels, rows))
+    chunks = _risk_chunks(labels, _table_rows(_edge_blocks(result.network, 0.0, result.risk)))
+    with open(path, "wb") as out:
+        out.writelines(chunks)

@@ -57,9 +57,19 @@ def _check_integer(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """True if array and every array it views are read-only, down to one that owns
+    its memory; a view of a writable array, a file map or a buffer is not frozen."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        if array.flags.owndata:
+            return True
+        array = array.base
+    return False
+
+
 def _own(column: np.ndarray, dtype) -> np.ndarray:
     """column itself if it is a frozen one-dimensional array of dtype, else a frozen copy."""
-    if column.ndim != 1 or column.dtype != dtype or column.flags.writeable:
+    if column.ndim != 1 or column.dtype != dtype or not _frozen(column):
         # a copy, so that freezing it leaves the caller's array alone
         column = np.array(column, dtype=dtype, ndmin=1)
         column.flags.writeable = False
@@ -122,9 +132,11 @@ class Network:
 
     The constructor takes one-dimensional columns in any edge order.  A
     column that is already a read-only one-dimensional ndarray of the
-    column's dtype (int64 for src and dst, float64 for the rest) is
-    stored as given, a 0-stride broadcast view included; any other is
-    copied and frozen, so the caller's writable arrays stay writable.  A
+    column's dtype (int64 for src and dst, float64 for the rest), whose
+    base arrays down to the one owning the memory are read-only too, is
+    stored as given, a 0-stride broadcast view of a frozen array
+    included.  Any other is copied and frozen, so the caller's writable
+    arrays stay writable and no later write to them reaches the network.  A
     column is sorted into row-major order by a copy.  A float value
     must lie in [0, 1] and a variance be positive: fusion's two value
     rules raise, named after the column and the first edge or node
@@ -388,7 +400,7 @@ def generate_network(config: ScenarioConfig) -> Network:
     for six standard deviations above its mean, and the rare run that
     needs more widens the rows.  The columns are views of those rows,
     frozen, so Network stores them as they are; the constant variances
-    are 0-stride broadcast views.
+    are 0-stride broadcast views of one frozen array of the two values.
     """
     n = config.node_count
     pairs = n * (n - 1)
@@ -417,15 +429,13 @@ def generate_network(config: ScenarioConfig) -> Network:
         edges += len(starts)
         done += len(draws) - 3 * len(starts)
     max_risk = np.full(n, config.max_acceptable_risk, float)
-    for array in (ends, values, max_risk):
+    variances = np.array([config.variance_direct, config.variance_indirect], float)
+    for array in (ends, values, max_risk, variances):
         array.flags.writeable = False
     (src, dst), (required, direct_mean, indirect_mean) = ends[:, :edges], values[:, :edges]
-    return Network(
-        n, src, dst, required,
-        direct_mean, np.broadcast_to(float(config.variance_direct), src.shape),
-        indirect_mean, np.broadcast_to(float(config.variance_indirect), src.shape),
-        max_risk,
-    )
+    direct_var, indirect_var = np.broadcast_to(variances[:, None], (2, edges))
+    return Network(n, src, dst, required, direct_mean, direct_var, indirect_mean, indirect_var,
+                   max_risk)
 
 
 def run_assessment(network: Network, combiner: Combiner = combined_trust) -> AssessmentResult:

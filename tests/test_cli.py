@@ -1,13 +1,11 @@
 """End-to-end CLI tests, run through ``python -m betatrust``."""
-import contextlib
 import hashlib
-import io
 import subprocess
 import sys
 
 import pytest
 
-from betatrust import cli, parse_matrices
+from betatrust import parse_matrices
 
 
 def run_cli(*args):
@@ -296,16 +294,6 @@ class TestReproduceTable1:
         ]
         assert matrices["C"][0][2] == pytest.approx(0.6060, abs=5e-5)
         assert matrices["R"][0][2] == pytest.approx(0.1088, abs=5e-5)
-
-    @pytest.mark.parametrize("method", ["beta", "average"])
-    def test_in_process_stdout_gets_the_same_table(self, capsys, method):
-        expected = run_cli("reproduce-table1", "--method", method).stdout
-        assert cli.main(["reproduce-table1", "--method", method]) == 0
-        assert capsys.readouterr().out == expected  # a text stream over a binary buffer
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):  # a text-only stream
-            assert cli.main(["reproduce-table1", "--method", method]) == 0
-        assert text.getvalue() == expected
 
     def test_average_method(self):
         cp = run_cli("reproduce-table1", "--method", "average")

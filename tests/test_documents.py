@@ -1,6 +1,5 @@
 """File-format tests: network documents and matrix tables."""
 import hashlib
-import io
 import math
 import re
 from importlib import resources
@@ -414,18 +413,6 @@ class TestMatrixTable:
         message = re.escape(f"matrix R has shape {shape}, expected")
         with pytest.raises(ValueError, match=message):
             render_risk_table(labels, np.zeros(shape))
-
-    def test_writers_take_a_path_or_a_binary_file(self, tmp_path):
-        result = run_assessment(load_bundled_three_node())
-        for write in (write_matrices, write_risk_table):
-            path = tmp_path / f"{write.__name__}.csv"
-            write(path, result)
-            buffer = io.BytesIO()
-            write(buffer, result)
-            assert buffer.getvalue() == path.read_bytes()
-            with open(path, "ab") as file:  # a file object is written to, not reopened
-                write(file, result)
-            assert path.read_bytes() == 2 * buffer.getvalue()
 
 
 class TestFixedWidthRendering:

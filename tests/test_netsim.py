@@ -320,13 +320,40 @@ class TestColumns:
     @pytest.mark.parametrize("dtype, kept", [(np.float64, True), (np.float32, False)])
     @pytest.mark.parametrize("writeable", [True, False])
     def test_a_column_is_kept_only_frozen_and_of_its_dtype(self, dtype, kept, writeable):
-        required = np.array([0.75, 0.5, 0.25], dtype=dtype)[::-2]  # a strided view
-        required.flags.writeable = writeable
+        base = np.array([0.75, 0.5, 0.25], dtype=dtype)
+        base.flags.writeable = writeable
+        required = base[::-2]  # a strided view, read-only exactly when its base is
         ones = np.full(2, 0.5)
         network = Network(2, [1, 2], [2, 1], required, ones, ones, ones, ones, np.zeros(2))
         assert np.shares_memory(network.required, required) == (kept and not writeable)
         assert network.required.tolist() == [0.25, 0.75]
         assert not network.required.flags.writeable
+
+    def test_a_read_only_view_of_writable_memory_is_copied(self, tmp_path):
+        variance = np.array(0.01)
+        path = tmp_path / "required.npy"
+        np.save(path, np.array([0.25, 0.75]))
+        file = np.lib.format.open_memmap(path, mode="r+")
+        memory = bytearray(np.array([0.5, 0.5]).tobytes())
+        frozen_view = np.array([0.5, 0.9, 0.5])
+        given = {
+            "direct_variance": np.broadcast_to(variance, 2),  # a view of a writable 0-d array
+            "required": np.load(path, mmap_mode="r"),  # a map of a file that can change
+            "direct_mean": np.frombuffer(memoryview(memory).toreadonly()),
+            "indirect_mean": frozen_view[::2],
+        }
+        given["indirect_mean"].flags.writeable = False  # its base stays writable
+        ones = np.full(2, 0.5)
+        network = Network(2, [1, 2], [2, 1], *(given.get(name, ones) for name in netsim.EDGE_COLUMNS),
+                          np.zeros(2))
+        variance[()], file[:], memory[:8], frozen_view[0] = -1.0, 1.0, bytes(8), 0.1
+        file.flush()
+        assert network.direct_variance.tolist() == [0.01, 0.01]
+        assert network.required.tolist() == [0.25, 0.75]
+        assert network.direct_mean.tolist() == [0.5, 0.5]
+        assert network.indirect_mean.tolist() == [0.5, 0.5]
+        for name, column in given.items():
+            assert not np.shares_memory(getattr(network, name), column), name
 
     def test_caller_arrays_stay_writable(self):
         src, dst = np.array([2, 1]), np.array([1, 2])
