@@ -23,10 +23,11 @@ a self-edge or a duplicate edge, reported at the path "edges".
 
 Matrix table (comma-separated text, diff-friendly): a labels line, then
 the five sections T, A, B, C, R, each one name line followed by n rows
-of "%.4f" cells.  Lines starting with '#' are comments.  A block of 64 float64
-rows in [0, 1], none -0.0, looks its cells up by rint(x * 1e4) and lets "%.4f"
-format any cell within 1e-9 of a half.  write_matrices and write_risk_table
-stream an assessment result's tables, each block built from the edge columns.
+of "%.4f" cells.  Lines starting with '#' are comments.  Rows are formatted
+in blocks of about _BLOCK_CELLS cells: a float64 block in [0, 1], none -0.0,
+looks its cells up by rint(x * 1e4) and lets "%.4f" format any cell within
+1e-9 of a half.  write_matrices and write_risk_table stream an assessment
+result's tables from the blocks that netsim lays out; this module only formats.
 """
 from __future__ import annotations
 
@@ -42,16 +43,16 @@ import numpy as np
 
 from .errors import ConfigurationError, NetworkDocumentError, TrustError
 from .fusion import DEFAULT_VARIANCE, _check_unit_interval, _check_variance
-from .netsim import EDGE_COLUMNS, AssessmentResult, Network
+from .netsim import _SECTIONS, EDGE_COLUMNS, AssessmentResult, Network, _section_blocks
 
 SCHEMA_VERSION = 1
-MATRIX_SECTIONS = ("T", "A", "B", "C", "R")
+MATRIX_SECTIONS = tuple(_SECTIONS)
 MATRIX_HEADER = "# trust matrices v1"
 
 #: The three-node reference network shipped with the package.
 THREE_NODE_RESOURCE = "three_node_network.json"
 
-_BLOCK_ROWS = 64  # table rows formatted at a time
+_BLOCK_CELLS = 64 * 300  # table cells formatted at a time
 
 
 def _require(condition: bool, message: str, where: str) -> None:
@@ -203,24 +204,15 @@ def _cells() -> np.ndarray:
     return cells.view("V7").ravel()
 
 
+def _block_rows(n: int) -> int:
+    """Rows of an n-column table formatted at a time: _BLOCK_CELLS cells, at least one row."""
+    return max(1, _BLOCK_CELLS // max(n, 1))
+
+
 def _row_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
-    """matrix, _BLOCK_ROWS rows at a time."""
-    return (matrix[start:start + _BLOCK_ROWS] for start in range(0, len(matrix), _BLOCK_ROWS))
-
-
-def _edge_blocks(network: Network, diagonal: float, values: np.ndarray) -> Iterator[np.ndarray]:
-    """The n x n matrix with diagonal on its diagonal, values at the edges' cells and 0
-    elsewhere, _BLOCK_ROWS rows at a time, each block built from zeros in one buffer."""
-    n, cell = network.node_count, network.cell
-    buffer = np.empty((min(_BLOCK_ROWS, n), n))
-    for first in range(0, n, _BLOCK_ROWS):
-        block = buffer[:n - first]
-        block.fill(0.0)
-        flat = block.reshape(-1)
-        flat[first::n + 1] = diagonal
-        low, high = np.searchsorted(cell, (first * n, (first + len(block)) * n))
-        flat[cell[low:high] - first * n] = values[low:high]
-        yield block
+    """matrix, _block_rows rows at a time."""
+    rows = _block_rows(len(matrix))
+    return (matrix[start:start + rows] for start in range(0, len(matrix), rows))
 
 
 def _table_rows(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
@@ -244,38 +236,30 @@ def _table_rows(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
         yield rows.tobytes()
 
 
-def _result_rows(result: AssessmentResult) -> dict[str, Iterator[bytes]]:
-    """The rows of each matrix section of result, keyed by section name."""
-    network = result.network
-    sections = (("T", 0.0, network.required), ("A", 1.0, network.direct_mean),
-                ("B", 1.0, network.indirect_mean), ("C", 1.0, result.combined),
-                ("R", 0.0, result.risk))
-    return {name: _table_rows(_edge_blocks(network, diagonal, values))
-            for name, diagonal, values in sections}
-
-
-def _matrix_chunks(labels: Sequence[int], rows: Mapping[str, Iterator[bytes]],
+def _matrix_chunks(labels: Sequence[int], blocks: Mapping[str, Iterable[np.ndarray]],
                    comments: Sequence[str]) -> Iterator[bytes]:
-    """The matrix table, lazily, from each section's rows."""
+    """The matrix table, lazily, from each section's blocks of rows."""
     head = [MATRIX_HEADER, *(f"# {comment}" for comment in comments),
             "labels," + ",".join(str(label) for label in labels)]
-    return chain([("\n".join(head) + "\n").encode()],
-                 *(chain([f"{name}\n".encode()], rows[name]) for name in MATRIX_SECTIONS))
+    return chain([("\n".join(head) + "\n").encode()], *(
+        chain([f"{name}\n".encode()], _table_rows(blocks[name])) for name in MATRIX_SECTIONS))
 
 
-def _risk_chunks(labels: Sequence[int], rows: Iterator[bytes]) -> Iterator[bytes]:
-    """The risk table, lazily, a row at a time, from R's rows."""
-    rows = (row for block in rows for row in block.splitlines(keepends=True))
+def _risk_chunks(labels: Sequence[int], blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The risk table, lazily, a row at a time, from R's blocks of rows; each label and
+    its row are two chunks, so that no row is copied to prefix it."""
+    rows = (row for block in _table_rows(blocks) for row in block.splitlines(keepends=True))
     head = "node," + ",".join(str(label) for label in labels) + "\n"
-    return chain([head.encode()], (f"{label},".encode() + row for label, row in zip(labels, rows)))
+    labels = (f"{label},".encode() for label in labels)
+    return chain([head.encode()], chain.from_iterable(zip(labels, rows)))
 
 
 def render_matrices(labels: Sequence[int], matrices: Mapping[str, np.ndarray],
                     comments: Sequence[str] = ()) -> str:
     """Render the five named matrices as the comma-separated table format."""
-    rows = {name: _table_rows(_row_blocks(_square(name, matrices[name], len(labels))))
-            for name in MATRIX_SECTIONS}
-    return b"".join(_matrix_chunks(labels, rows, comments)).decode()
+    blocks = {name: _row_blocks(_square(name, matrices[name], len(labels)))
+              for name in MATRIX_SECTIONS}
+    return b"".join(_matrix_chunks(labels, blocks, comments)).decode()
 
 
 def write_matrices(path: str | Path, result: AssessmentResult,
@@ -284,10 +268,10 @@ def write_matrices(path: str | Path, result: AssessmentResult,
 
     The bytes are render_matrices(range(1, n + 1), result.as_matrix_dict(), comments).
     """
-    labels = range(1, result.network.node_count + 1)
-    chunks = _matrix_chunks(labels, _result_rows(result), comments)
+    n = result.network.node_count
+    blocks = {name: _section_blocks(result, name, _block_rows(n)) for name in MATRIX_SECTIONS}
     with open(path, "wb") as out:
-        out.writelines(chunks)
+        out.writelines(_matrix_chunks(range(1, n + 1), blocks, comments))
 
 
 def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
@@ -325,10 +309,10 @@ def parse_matrices(text: str) -> tuple[list[int], dict[str, np.ndarray]]:
 def render_risk_table(labels: Sequence[int], r_matrix: np.ndarray) -> str:
     """Per-node risk series as a plot-ready table: rows nodes, columns peers.
 
-    The self column carries the diagonal convention 0.
+    The self column carries the diagonal of r_matrix.
     """
-    rows = _table_rows(_row_blocks(_square("R", r_matrix, len(labels))))
-    return b"".join(_risk_chunks(labels, rows)).decode()
+    blocks = _row_blocks(_square("R", r_matrix, len(labels)))
+    return b"".join(_risk_chunks(labels, blocks)).decode()
 
 
 def write_risk_table(path: str | Path, result: AssessmentResult) -> None:
@@ -336,7 +320,6 @@ def write_risk_table(path: str | Path, result: AssessmentResult) -> None:
 
     The bytes are render_risk_table(range(1, n + 1), result.r_matrix).
     """
-    labels = range(1, result.network.node_count + 1)
-    chunks = _risk_chunks(labels, _table_rows(_edge_blocks(result.network, 0.0, result.risk)))
+    n = result.network.node_count
     with open(path, "wb") as out:
-        out.writelines(chunks)
+        out.writelines(_risk_chunks(range(1, n + 1), _section_blocks(result, "R", _block_rows(n))))

@@ -3,7 +3,7 @@
 Node ids run from 1 to node_count.  Trust is asymmetric, so the edges
 (i, j) and (j, i) are independent, and there are no self-edges: a node
 blindly trusts itself, which shows up only as the diagonal of the result
-matrices (1 for A, B, C and 0 for T, R) and never enters a calculation.
+matrices and never enters a calculation.
 
 A Network is a columnar edge table: one numpy array per edge field, in
 row-major (i, j) order, plus one appetite per node.  Its one constructor
@@ -14,11 +14,13 @@ CHUNK edges at a time; the scalar combiner gives C or names the error
 only on the edges that its column form leaves without a C (on all that
 reach C, for a combiner that has none).  The result is an edge table
 too: C, R and the outcome of every edge; T, A and B stay in the network.
+_section_blocks lays each matrix section out in blocks of rows, for the
+result's dense matrices and for the writers in documents alike.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -51,10 +53,12 @@ EDGE_COLUMNS = ("required", "direct_mean", "direct_variance", "indirect_mean", "
 CHUNK = 1 << 14
 
 
-def _check_integer(name: str, value) -> None:
-    # numpy would read True as 1, and reject 1.5 only when generating
+def _check_integer(name: str, value) -> int:
+    # numpy would read True as 1, and reject 1.5 only when generating; a numpy integer
+    # is returned as an int, which later arithmetic cannot overflow
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frozen(array: np.ndarray) -> bool:
@@ -155,8 +159,7 @@ class Network:
         indirect_variance: np.ndarray,
         max_risk: np.ndarray,
     ) -> None:
-        n = node_count
-        _check_integer("node_count", n)
+        n = _check_integer("node_count", node_count)
         if n < 1:
             raise ConfigurationError(f"node_count must be >= 1, got {n}")
         given = (src, dst, required, direct_mean, direct_variance, indirect_mean,
@@ -261,7 +264,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("seed", "node_count"):
-            _check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.node_count < 2:
@@ -287,11 +290,34 @@ class EdgeError:
     message: str
 
 
-def _matrix(n: int, diagonal: float, cell: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """An n x n matrix: diagonal on its diagonal, values at the flat cells, 0 elsewhere."""
-    matrix = np.zeros((n, n))
-    np.fill_diagonal(matrix, diagonal)
-    matrix.flat[cell] = values
+# Each matrix section, in table order: its diagonal, and its column of network or result.
+_SECTIONS = {"T": (0.0, "required"), "A": (1.0, "direct_mean"), "B": (1.0, "indirect_mean"),
+            "C": (1.0, "combined"), "R": (0.0, "risk")}
+
+
+def _section_blocks(result: AssessmentResult, name: str, rows: int) -> Iterator[np.ndarray]:
+    """Section name of result as an n x n matrix in blocks of up to rows rows: the
+    section's diagonal, its column at the edges' cells, 0 elsewhere.  Each block is
+    refilled in one buffer, so it holds its values until the next block is made."""
+    diagonal, column = _SECTIONS[name]
+    network = result.network
+    values = getattr(network if column in EDGE_COLUMNS else result, column)
+    n, cell = network.node_count, network.cell
+    buffer = np.empty((min(rows, n), n))
+    for first in range(0, n, rows):
+        block = buffer[:n - first]
+        block.fill(0.0)
+        flat = block.reshape(-1)
+        flat[first::n + 1] = diagonal
+        low, high = np.searchsorted(cell, (first * n, (first + len(block)) * n))
+        flat[cell[low:high] - first * n] = values[low:high]
+        yield block
+
+
+def _dense(result: AssessmentResult, name: str) -> np.ndarray:
+    """Section name of result as one read-only n x n matrix."""
+    (matrix,) = _section_blocks(result, name, result.network.node_count)
+    matrix.base.flags.writeable = matrix.flags.writeable = False  # the view and its buffer
     return matrix
 
 
@@ -302,13 +328,12 @@ class AssessmentResult:
     combined holds C and risk R = max(0, T - C) of every edge; both are 0
     for an edge whose C was never computed (short-circuited or errored).
     outcome holds the index of each edge's decision in DECISIONS, or
-    FAILED for an edge in errors.
+    FAILED for an edge in errors.  All three are read-only.
 
-    c_matrix and r_matrix lay C and R out as n x n matrices, built on
-    first access and kept: cell [i-1, j-1] belongs to the edge from node
-    i to node j, the C diagonal is 1, the R diagonal 0, and an absent
-    edge is 0 in both.  as_matrix_dict adds the T, A and B matrices of
-    network.
+    c_matrix and r_matrix lay C and R out as read-only n x n matrices,
+    built on first access and kept: cell [i-1, j-1] belongs to the edge
+    from node i to node j, the diagonal is as _SECTIONS states, and an
+    absent edge is 0.  as_matrix_dict adds those of T, A and B.
     """
 
     network: Network
@@ -317,13 +342,8 @@ class AssessmentResult:
     outcome: np.ndarray
     errors: list[EdgeError]
 
-    @cached_property
-    def c_matrix(self) -> np.ndarray:
-        return _matrix(self.network.node_count, 1.0, self.network.cell, self.combined)
-
-    @cached_property
-    def r_matrix(self) -> np.ndarray:
-        return _matrix(self.network.node_count, 0.0, self.network.cell, self.risk)
+    c_matrix = cached_property(lambda self: _dense(self, "C"))
+    r_matrix = cached_property(lambda self: _dense(self, "R"))
 
     @cached_property
     def decisions(self) -> dict[tuple[int, int], Decision]:
@@ -336,15 +356,8 @@ class AssessmentResult:
 
     def as_matrix_dict(self) -> dict[str, np.ndarray]:
         """The matrices keyed by section name; T, A and B are built from network on each call."""
-        network = self.network
-        n, cell = network.node_count, network.cell
-        return {
-            "T": _matrix(n, 0.0, cell, network.required),
-            "A": _matrix(n, 1.0, cell, network.direct_mean),
-            "B": _matrix(n, 1.0, cell, network.indirect_mean),
-            "C": self.c_matrix,
-            "R": self.r_matrix,
-        }
+        kept = {"C": self.c_matrix, "R": self.r_matrix}
+        return {name: kept[name] if name in kept else _dense(self, name) for name in _SECTIONS}
 
     def decision_tally(self) -> dict[str, int]:
         """Count of edges per decision name, every outcome listed."""
@@ -492,6 +505,8 @@ def run_assessment(network: Network, combiner: Combiner = combined_trust) -> Ass
         outcome[decided] = fused_code(shortfall, network.max_risk[network.src[decided] - 1])
         combined[decided] = value
         risk[decided] = shortfall
+    for column in (combined, risk, outcome):
+        column.flags.writeable = False
     return AssessmentResult(network, combined, risk, outcome, errors)
 
 

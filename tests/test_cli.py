@@ -9,7 +9,8 @@ from betatrust import parse_matrices
 
 
 def run_cli(*args):
-    cmd = [sys.executable, "-m", "betatrust", *args]
+    # -W error: a numpy overflow or invalid-value warning fails the test, as in-process
+    cmd = [sys.executable, "-W", "error", "-m", "betatrust", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
 
 

@@ -1,7 +1,9 @@
 """File-format tests: network documents and matrix tables."""
 import hashlib
 import math
+import os
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -471,7 +473,13 @@ class TestFixedWidthRendering:
         pytest.param(boundary_network(), id="rounding-boundaries"),
     ])
     @pytest.mark.parametrize("combiner", [combined_trust, average_combiner])
-    def test_written_files_equal_the_rendered_strings(self, tmp_path, network, combiner):
+    # rows per block, through the cell budget: block boundaries fall at every offset
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 7, "n"])
+    def test_written_files_equal_the_rendered_strings(self, monkeypatch, tmp_path, network,
+                                                      combiner, rows):
+        n = network.node_count
+        if rows is not None:
+            monkeypatch.setattr(documents, "_BLOCK_CELLS", n * (n if rows == "n" else rows))
         result = run_assessment(network, combiner)
         labels = list(range(1, network.node_count + 1))
         write_matrices(tmp_path / "matrices.csv", result, ["combiner: beta"])
@@ -480,6 +488,20 @@ class TestFixedWidthRendering:
             labels, result.as_matrix_dict(), ["combiner: beta"]).encode()
         assert (tmp_path / "risk_series.csv").read_bytes() == render_risk_table(
             labels, result.r_matrix).encode()
+
+    @pytest.mark.parametrize("writer", [write_matrices, write_risk_table])
+    def test_writer_memory_is_bounded_by_the_cell_budget(self, writer):
+        # blocks of 64 rows of 2000 cells once peaked at about 6 MB
+        network = generate_network(ScenarioConfig(seed=0, node_count=2000, edge_probability=0.001))
+        result = run_assessment(network)
+        writer(os.devnull, result)  # and so fills the cached cell table
+        tracemalloc.start()
+        try:
+            writer(os.devnull, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6)).map(lambda n: (5, n[0], n[0])),

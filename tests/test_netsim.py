@@ -459,6 +459,28 @@ class TestColumns:
         network = self.network()
         assert Network(np.int64(5), *self.columns(network), network.max_risk) == network
 
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8, np.uint64, np.int64])
+    def test_numpy_node_count_is_stored_as_an_int(self, tmp_path, kind):
+        # in numpy arithmetic, int8(100) overflowed the writers' cell offsets, uint64(100)
+        # could not scale the signed cell column, and uint8(100) miscounted the pairs
+        def network(n):
+            return Network(n, [1, 99, 100], [100, 100, 1], [0.9, 0.5, 0.2], [0.3, 0.6, 0.1],
+                           [0.01] * 3, [0.4, 0.2, 0.3], [0.01] * 3, [0.0] * 100)
+
+        def tables(network, name):
+            result = run_assessment(network)
+            write_matrices(tmp_path / f"{name}.csv", result)
+            write_risk_table(tmp_path / f"{name}-risk.csv", result)
+            return [(tmp_path / f"{name}{suffix}.csv").read_bytes() for suffix in ("", "-risk")]
+
+        given, plain = network(kind(100)), network(100)
+        assert given == plain and type(given.node_count) is int
+        assert tables(given, "given") == tables(plain, "plain")
+        config = ScenarioConfig(seed=kind(7), node_count=kind(100), edge_probability=0.1)
+        assert type(config.seed) is int and type(config.node_count) is int
+        assert generate_network(config) == generate_network(
+            ScenarioConfig(seed=7, node_count=100, edge_probability=0.1))
+
     def test_edges_view(self):
         network = self.network()
         edges = network.edges
@@ -639,6 +661,16 @@ class TestRunAssessment:
         assert np.diag(result.c_matrix).tolist() == [1.0] * 3
         short_circuited = result.outcome < DECISIONS.index(Decision.ACCEPT_COMBINED)
         assert result.combined[short_circuited].tolist() == [0.0] * 4
+
+    def test_result_columns_and_matrices_are_read_only(self):
+        result = run_assessment(load_bundled_three_node())
+        matrices = result.as_matrix_dict()
+        for array in (result.combined, result.risk, result.outcome, result.c_matrix,
+                      result.c_matrix.base, result.r_matrix, matrices["T"]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert result.decisions[(1, 3)] is Decision.DECLINE
+        assert result.c_matrix[0, 2] == pytest.approx(COMBINED_13, rel=1e-12)
 
     def test_appetite_of_evaluating_node_applies(self):
         edges = {(1, 2): Edge(0.7148, TrustEstimate(0.6844), TrustEstimate(0.0445))}

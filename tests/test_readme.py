@@ -32,7 +32,8 @@ def test_command_line_runs(tmp_path, line):
     args = shlex.split(line, comments=True)[1:]
     # run from a scratch directory, so that relative --out paths land there
     env = {**os.environ, "PYTHONPATH": str(Path(betatrust.__file__).parents[1])}
-    cp = subprocess.run([sys.executable, "-m", "betatrust", *args], cwd=tmp_path,
-                        env=env, capture_output=True, text=True)
+    # -W error: a numpy overflow or invalid-value warning fails the test, as in-process
+    cp = subprocess.run([sys.executable, "-W", "error", "-m", "betatrust", *args],
+                        cwd=tmp_path, env=env, capture_output=True, text=True)
     assert cp.returncode in ((0, 2) if args[0] == "decide" else (0,)), cp.stderr
     assert cp.stderr == ""
