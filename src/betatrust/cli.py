@@ -16,10 +16,10 @@ from .errors import TrustError
 from .fusion import (
     DEFAULT_VARIANCE,
     TrustEstimate,
-    beta_mean,
-    fusion_weights,
-    moments_to_beta,
-    posterior_params,
+    _checked_posterior,
+    _checked_source,
+    _fusion_weights,
+    _shape_mean,
 )
 
 EXIT_OK = 0
@@ -80,25 +80,15 @@ def _estimate(mean: float, variance: float, label: str) -> TrustEstimate:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     direct = _estimate(args.a, args.var if args.var_a is None else args.var_a, "--a")
     indirect = _estimate(args.b, args.var if args.var_b is None else args.var_b, "--b")
-    params = []
+    shapes = []
     for estimate, side in ((direct, "direct"), (indirect, "indirect")):
         try:
-            params.append(moments_to_beta(estimate))
+            shapes += _checked_source(estimate.mean, estimate.variance)
         except TrustError as exc:
             raise TrustError(f"moment inversion of the {side} estimate failed: {exc}") from exc
-    params_a, params_b = params
-    posterior = posterior_params(params_a, params_b)
-    weights = fusion_weights(params_a, params_b)
-    for name, value in (
-        ("alpha_a", params_a.alpha),
-        ("beta_a", params_a.beta),
-        ("alpha_b", params_b.alpha),
-        ("beta_b", params_b.beta),
-        ("k", weights.k),
-        ("w_a", weights.w_a),
-        ("w_b", weights.w_b),
-        ("combined", beta_mean(posterior)),
-    ):
+    combined = _shape_mean(*_checked_posterior(*shapes))
+    names = ("alpha_a", "beta_a", "alpha_b", "beta_b", "k", "w_a", "w_b", "combined")
+    for name, value in zip(names, (*shapes, *_fusion_weights(*shapes), combined)):
         print(f"{name} {value:.6f}")
     return EXIT_OK
 
@@ -126,6 +116,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         variance_indirect=args.var,
         max_acceptable_risk=args.appetite,
     )
+    # an unusable --out fails here, before any edge is generated or reported
+    args.out.mkdir(parents=True, exist_ok=True)
     network = netsim.generate_network(config)
 
     result = netsim.run_assessment(network, COMBINERS[args.method])
@@ -133,7 +125,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}\n"
         for error in result.errors)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     matrices_path = args.out / "matrices.csv"
     series_path = args.out / "risk_series.csv"
     documents.write_matrices(matrices_path, result, comments=[f"combiner: {args.method}"])

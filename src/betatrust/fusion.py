@@ -24,7 +24,7 @@ The same value decomposes into a weighted sum of the source means:
     W_A = (aA + bA) / K
     W_B = (aB + bB) * (aB - 1) / (aB * K)
 
-The sum explains how much each source counts (fusion_weights computes
+The sum explains how much each source counts (_fusion_weights computes
 the weights, `betatrust fuse` prints them), but C is not evaluated
 through it: its terms cancel as aA + aB - 1 approaches 0, where the sum
 can round below zero.
@@ -41,9 +41,10 @@ rather than clipped.
 
 The inversion, posterior and mean arithmetic is written once, in
 _source_shapes, _posterior_shapes and _shape_mean, which take floats or
-numpy arrays alike.  _checked_source clamps and checks one estimate for
-the scalar functions, combined_trust_columns whole columns of them, so
-both give bit-identical values and fail on the same estimates.
+numpy arrays alike.  _checked_source clamps and checks one estimate, and
+_checked_posterior one shape pair, for combined_trust and `betatrust
+fuse`; combined_trust_columns checks whole columns of them, so all three
+give bit-identical values and fail on the same estimates.
 
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
@@ -51,7 +52,6 @@ call from any number of concurrent contexts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -98,20 +98,6 @@ def _check_variance(name: str, value: float) -> float:
     raise InvalidVarianceError(f"{name} must be positive, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BetaParams:
-    """Shape pair (alpha, beta) of a Beta distribution, both positive."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(
-                f"Beta shapes must be positive, got ({self.alpha!r}, {self.beta!r})"
-            )
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class TrustEstimate:
     """A trust value in [0, 1] together with the variance of the estimate.
@@ -119,7 +105,7 @@ class TrustEstimate:
     The mean must be a real number in [0, 1] (RangeError), the variance
     one above 0 (InvalidVarianceError); a bool or a str is neither.  A
     numpy number is stored as the Python number of its value.  Whether
-    a Beta with this mean can have the variance (see moments_to_beta) is
+    a Beta with this mean can have the variance (see _checked_source) is
     checked only when the estimate is fused: a request accepted via A
     never inverts its direct estimate, so a source at mean 1.0 with the
     default variance, far above its bound m*(1-m) of about 1e-6, accepts.
@@ -132,42 +118,6 @@ class TrustEstimate:
     def __init__(self, mean: float, variance: float = DEFAULT_VARIANCE) -> None:
         object.__setattr__(self, "mean", _check_unit_interval("mean", mean))
         object.__setattr__(self, "variance", _check_variance("variance", variance))
-
-
-@dataclass(frozen=True, slots=True)
-class FusionWeights:
-    """Weights (w_a, w_b) and normaliser k of the combined-trust sum.
-
-    k equals the sum of all four source shapes minus two, which is also
-    the total shape mass of the posterior.  w_a is always positive; w_b
-    may be negative or zero when the likelihood's alpha is at most 1.
-    """
-
-    w_a: float
-    w_b: float
-    k: float
-
-
-def beta_pdf(params: BetaParams, x: float) -> float:
-    """Density of Beta(alpha, beta) at x, evaluated in log space.
-
-    Log-gamma keeps the normalising constant finite for large shapes.
-    The endpoints are legal inputs: where the corresponding exponent is
-    negative the density diverges and math.inf is returned rather than
-    raising, so callers can distinguish an unbounded density from a
-    domain error (x outside [0, 1], which raises ValueError).
-    """
-    x = _check_unit_interval("x", x)
-    a, b = params.alpha, params.beta
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    if x == 0.0 or x == 1.0:
-        exponent = a - 1.0 if x == 0.0 else b - 1.0
-        if exponent < 0.0:
-            return math.inf
-        if exponent > 0.0:
-            return 0.0
-        return math.exp(log_norm)
-    return math.exp(log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
 
 
 def _source_shapes(m, variance, bound):
@@ -196,28 +146,16 @@ def _shape_mean(alpha, beta):
     return mean - (mean == 1.0) * 2.0**-53
 
 
-def beta_mean(params: BetaParams) -> float:
-    """Expected value alpha / (alpha + beta).
-
-    It lies strictly inside (0, 1) in exact arithmetic.  In floating
-    point it is the largest double below 1 where the quotient rounds to
-    1.0 (beta below about 2**-53 * alpha), and 0.0 only on underflow.
-    """
-    return _shape_mean(params.alpha, params.beta)
-
-
-def beta_variance(params: BetaParams) -> float:
-    """Variance alpha*beta / ((alpha+beta+1) * (alpha+beta)^2).
-
-    Evaluated as (alpha/s) * (beta/s) / (s + 1) with s = alpha + beta, so
-    that it stays finite for shapes whose product would overflow.
-    """
-    total = params.alpha + params.beta
-    return (params.alpha / total) * (params.beta / total) / (total + 1.0)
-
-
 def _checked_source(mean, variance) -> tuple[float, float]:
-    """(alpha, beta) of one estimate: the mean clamped, the variance checked before dividing."""
+    """(alpha, beta) of one estimate: the mean clamped, the variance checked before dividing.
+
+    The mean is clamped to [MEAN_EPSILON, 1 - MEAN_EPSILON] first.
+    Raises InvalidVarianceError when the variance is at least m*(1-m),
+    the supremum attainable by any Beta with mean m, or below
+    m*(1-m)*2**-1022, where alpha + beta would exceed 2**1022 and the
+    shape sum of a posterior built from them could overflow.  Both shapes
+    are finite and positive otherwise.
+    """
     m = MEAN_EPSILON if mean < MEAN_EPSILON else _MEAN_CEILING if mean > _MEAN_CEILING else mean
     bound = m * (1.0 - m)
     if not bound * 2.0**-1022 <= variance < bound:
@@ -226,6 +164,7 @@ def _checked_source(mean, variance) -> tuple[float, float]:
 
 
 def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
+    """Posterior shapes; DegeneratePosteriorError unless both are positive."""
     alpha, beta = _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b)
     if alpha <= 0.0 or beta <= 0.0:
         raise DegeneratePosteriorError(
@@ -234,47 +173,16 @@ def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
     return alpha, beta
 
 
-def moments_to_beta(estimate: TrustEstimate) -> BetaParams:
-    """Recover the Beta shape pair whose mean and variance match the estimate.
+def _fusion_weights(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float, float]:
+    """(k, w_a, w_b) of the weighted sum C = m_A * w_a + m_B * w_b.
 
-    The mean is clamped away from 0 and 1 first.  Raises
-    InvalidVarianceError when the variance is at least m*(1-m), the
-    supremum attainable by any Beta distribution with mean m, or below
-    m*(1-m)*2**-1022, where alpha + beta would exceed 2**1022 and the
-    shape sum of a posterior built from them could overflow.  Both
-    recovered shapes are finite and strictly positive otherwise, and
-    feeding them back through beta_mean / beta_variance reproduces the
-    (clamped) input moments.
-    """
-    return BetaParams(*_checked_source(estimate.mean, estimate.variance))
-
-
-def posterior_params(prior: BetaParams, likelihood: BetaParams) -> BetaParams:
-    """Multiply two Beta kernels and return the resulting Beta shape pair.
-
-    Raises DegeneratePosteriorError when either combined shape would be
-    non-positive (the evidence is too diffuse to yield a proper
-    posterior).
-    """
-    return BetaParams(
-        *_checked_posterior(prior.alpha, prior.beta, likelihood.alpha, likelihood.beta)
-    )
-
-
-def fusion_weights(params_a: BetaParams, params_b: BetaParams) -> FusionWeights:
-    """Weights turning the two source means into the posterior mean.
-
-    Satisfies w_a * mean_a + w_b * mean_b == (aA + aB - 1) / k exactly
-    (up to floating point) for every valid shape pair.  w_b is evaluated
-    as (aB + bB) / k * (1 - 1/aB), which stays finite for shapes whose
+    Call it on shapes that passed _checked_posterior: k is then the
+    posterior's positive shape sum.  w_b is evaluated as
+    (aB + bB) / k * (1 - 1/aB), which stays finite for shapes whose
     product would overflow.
     """
-    k = params_a.alpha + params_a.beta + params_b.alpha + params_b.beta - 2.0
-    if k <= 0.0:
-        raise DegeneratePosteriorError(f"normaliser k = {k!r} is not positive")
-    w_a = (params_a.alpha + params_a.beta) / k
-    w_b = (params_b.alpha + params_b.beta) / k * (1.0 - 1.0 / params_b.alpha)
-    return FusionWeights(w_a=w_a, w_b=w_b, k=k)
+    k = alpha_a + beta_a + alpha_b + beta_b - 2.0
+    return k, (alpha_a + beta_a) / k, (alpha_b + beta_b) / k * (1.0 - 1.0 / alpha_b)
 
 
 def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
@@ -283,7 +191,7 @@ def combined_trust(direct: TrustEstimate, indirect: TrustEstimate) -> float:
     The direct estimate plays the prior and the indirect estimate the
     likelihood.  The result is the posterior Beta mean alpha / (alpha +
     beta), evaluated directly rather than through the weighted sum of
-    fusion_weights, which equals it in exact arithmetic but cancels near
+    _fusion_weights, which equals it in exact arithmetic but cancels near
     a degenerate posterior.  The kernel product is symmetric, so
     swapping the roles changes the weights but not the result.
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize, stats
 
 from betatrust import (
     Decision,
     Network,
+    TrustError,
     TrustEstimate,
     combined_trust,
     evaluate_request,
@@ -20,15 +22,7 @@ from betatrust import (
     run_assessment,
 )
 from betatrust.documents import load_bundled_three_node
-from betatrust.fusion import (
-    BetaParams,
-    beta_mean,
-    beta_pdf,
-    beta_variance,
-    fusion_weights,
-    moments_to_beta,
-    posterior_params,
-)
+from betatrust.fusion import _checked_source, _fusion_weights
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,30 +77,38 @@ def test_c3_weighted_sum_identity():
         frac_a, frac_b = rng.uniform(0.02, 0.9, size=2)
         a = TrustEstimate(mean_a, frac_a * mean_a * (1 - mean_a))
         b = TrustEstimate(mean_b, frac_b * mean_b * (1 - mean_b))
-        params_a = moments_to_beta(a)
-        params_b = moments_to_beta(b)
-        if (params_a.alpha + params_b.alpha <= 1.0
-                or params_a.beta + params_b.beta <= 1.0):
+        alpha_a, beta_a = _checked_source(a.mean, a.variance)
+        alpha_b, beta_b = _checked_source(b.mean, b.variance)
+        if alpha_a + alpha_b <= 1.0 or beta_a + beta_b <= 1.0:
             continue  # degenerate combination raises by contract
         pairs += 1
-        weights = fusion_weights(params_a, params_b)
-        lhs = weights.w_a * beta_mean(params_a) + weights.w_b * beta_mean(params_b)
-        rhs = (params_a.alpha + params_b.alpha - 1.0) / weights.k
-        assert abs(lhs - rhs) <= 1e-12
-        combined = combined_trust(a, b)
-        posterior = posterior_params(params_a, params_b)
-        assert abs(combined - beta_mean(posterior)) <= 1e-12
+        k, w_a, w_b = _fusion_weights(alpha_a, beta_a, alpha_b, beta_b)
+        # the posterior mean, (aA + aB - 1) / k, as the weighted sum of the source means
+        posterior_mean = (alpha_a + alpha_b - 1.0) / k
+        assert abs(w_a * a.mean + w_b * b.mean - posterior_mean) <= 1e-12
+        assert abs(combined_trust(a, b) - posterior_mean) <= 1e-12
 
 
 @pytest.mark.criterion(4, "method-of-moments round trip over 10^4 estimates")
 def test_c4_moment_round_trip():
     rng = np.random.default_rng(4)
+    moments, shapes = [], []
     for _ in range(10_000):
         mean = rng.uniform(0.001, 0.999)
         variance = rng.uniform(0.001, 0.999) * mean * (1 - mean)
-        params = moments_to_beta(TrustEstimate(mean, variance))
-        assert abs(beta_mean(params) - mean) <= 1e-10 * mean
-        assert abs(beta_variance(params) - variance) <= 1e-10 * variance
+        estimate = TrustEstimate(mean, variance)
+        moments.append((estimate.mean, estimate.variance))
+        shapes.append(_checked_source(estimate.mean, estimate.variance))
+    # scipy's Beta with the recovered shapes has the estimate's moments
+    mean, variance = np.array(moments).T
+    scipy_mean, scipy_variance = stats.beta(*np.array(shapes).T).stats("mv")
+    assert np.all(np.abs(scipy_mean - mean) <= 1e-10 * mean)
+    assert np.all(np.abs(scipy_variance - variance) <= 1e-10 * variance)
+
+
+def _estimate_with_shapes(alpha, beta):
+    """The estimate whose moments are those of scipy's Beta(alpha, beta)."""
+    return TrustEstimate(*map(float, stats.beta.stats(alpha, beta, moments="mv")))
 
 
 @pytest.mark.criterion(5, "conjugacy vs 10^5-point grid quadrature, 100 pairs")
@@ -127,24 +129,28 @@ def test_c5_conjugacy_grid_oracle():
             # covered by the adaptive-quadrature conjugacy property test
             continue
         accepted += 1
-        posterior = posterior_params(BetaParams(aa, ba), BetaParams(ab, bb))
+        combined = combined_trust(_estimate_with_shapes(aa, ba), _estimate_with_shapes(ab, bb))
         log_kernel = (aa + ab - 2.0) * log_grid + (ba + bb - 2.0) * log_grid_1m
         kernel = np.exp(log_kernel - log_kernel.max())
         grid_mean = float((grid * kernel).sum() / kernel.sum())
-        assert abs(grid_mean - beta_mean(posterior)) <= 1e-6
+        assert abs(grid_mean - combined) <= 1e-6
 
 
-@pytest.mark.criterion(6, "density normalisation over the shape grid")
-def test_c6_pdf_normalisation():
-    from scipy import integrate
-
+@pytest.mark.criterion(6, "C is the mean of the product of the source densities")
+def test_c6_mean_of_the_density_product():
+    # the indirect source has alpha below 1, so W_B is negative, and beside
+    # a direct alpha of 0.5 the product is singular, but integrable, at 0
+    indirect_pdf = stats.beta(0.75, 1.5).pdf
+    indirect = _estimate_with_shapes(0.75, 1.5)
     for alpha in (0.5, 1.0, 2.0, 5.0, 20.0):
         for beta in (0.5, 1.0, 2.0, 5.0, 20.0):
-            params = BetaParams(alpha, beta)
-            total, _ = integrate.quad(
-                lambda x: beta_pdf(params, x), 0.0, 1.0, limit=200
-            )
-            assert abs(total - 1.0) <= 1e-6
+            direct_pdf = stats.beta(alpha, beta).pdf
+            mass, _ = integrate.quad(lambda x: direct_pdf(x) * indirect_pdf(x), 0.0, 1.0,
+                                     limit=200)
+            first, _ = integrate.quad(lambda x: x * direct_pdf(x) * indirect_pdf(x), 0.0, 1.0,
+                                      limit=200)
+            combined = combined_trust(_estimate_with_shapes(alpha, beta), indirect)
+            assert abs(first / mass - combined) <= 1e-6
 
 
 @pytest.mark.criterion(7, "fifteen-node determinism and structure")
@@ -174,9 +180,55 @@ def test_c7_fifteen_node_run():
         assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
 
-@pytest.mark.criterion(8, "irreproducible reference values are documented")
-def test_c8_limitation_documented():
+# the reference table's Beta-method C at the two bundled edges that reach C
+PUBLISHED_C = {(1, 3): 0.4284, (3, 1): 0.4634}
+# candidate variances, log-spaced over [1e-4, 0.25): 0.25 is the bound m*(1-m) at m = 0.5
+VARIANCES = np.geomspace(1e-4, 0.25, 301)[:-1].tolist()
+
+
+def _bundled_fusion():
+    """C(edge, direct variance, indirect variance) at the bundled T, A and B; None if it fails."""
+    network = load_bundled_three_node()
+    means = {(i, j): (a, b) for i, j, a, b in zip(network.src.tolist(), network.dst.tolist(),
+                                                  network.direct_mean.tolist(),
+                                                  network.indirect_mean.tolist())}
+
+    def fused(edge, var_direct, var_indirect):
+        direct, indirect = means[edge]
+        try:
+            return combined_trust(TrustEstimate(direct, var_direct),
+                                  TrustEstimate(indirect, var_indirect))
+        except TrustError:
+            return None
+    return fused
+
+
+@pytest.mark.criterion(8, "the reference table's C column is out of reach of the variances")
+def test_c8_reference_c_column_not_reproduced():
+    fused = _bundled_fusion()
+    # one variance shared by all sources: C starts past each published value at
+    # 1e-4, by more than its rounding, and moves away from it as the variance grows
+    for edge, published in PUBLISHED_C.items():
+        values = [c for v in VARIANCES if (c := fused(edge, v, v)) is not None]
+        assert values[0] == fused(edge, VARIANCES[0], VARIANCES[0])
+        assert abs(values[0] - published) > 5e-5
+        assert np.all(np.sign(np.diff(values)) == np.sign(values[0] - published))
+    # separate direct and indirect variances: follow the curve that gives the
+    # published C at 1->3, solving for the indirect variance by Brent's method
+    target = PUBLISHED_C[(1, 3)]
+    along_curve = []
+    for var_direct in VARIANCES:
+        gaps = [None if (c := fused((1, 3), var_direct, v)) is None else c - target
+                for v in VARIANCES]
+        brackets = [k for k, (low, high) in enumerate(zip(gaps, gaps[1:]))
+                    if low is not None and high is not None and low * high < 0.0]
+        assert len(brackets) <= 1
+        for k in brackets:
+            var_indirect = optimize.brentq(lambda v: fused((1, 3), var_direct, v) - target,
+                                           VARIANCES[k], VARIANCES[k + 1], xtol=1e-15)
+            assert abs(fused((1, 3), var_direct, var_indirect) - target) <= 1e-12
+            along_curve.append(fused((3, 1), var_direct, var_indirect))
+    assert len(along_curve) >= 100
+    assert max(along_curve) < PUBLISHED_C[(3, 1)] - 5e-5
     text = README.read_text(encoding="utf-8")
-    assert "cannot be reproduced" in text
-    assert "variance" in text
-    assert "seed" in text
+    assert "0.4284" in text and "0.4634" in text and "[1e-4, 0.25)" in text

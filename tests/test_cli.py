@@ -1,11 +1,14 @@
-"""End-to-end CLI tests, run through ``python -m betatrust``."""
+"""End-to-end CLI tests, run through ``python -m betatrust`` (``fuse``'s table through ``main``)."""
+import errno
 import hashlib
+import os
 import subprocess
 import sys
 
 import pytest
 
 from betatrust import parse_matrices
+from betatrust.cli import main
 
 
 def run_cli(*args):
@@ -22,60 +25,67 @@ def parse_report(stdout):
     return values
 
 
-class TestFuse:
-    def test_symmetric_case(self):
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "0.05")
-        assert cp.returncode == 0, cp.stderr
-        report = parse_report(cp.stdout)
-        assert float(report["alpha_a"]) == pytest.approx(2.0, abs=1e-6)
-        assert float(report["k"]) == pytest.approx(6.0, abs=1e-6)
-        assert float(report["w_a"]) == pytest.approx(2 / 3, abs=1e-6)
-        assert float(report["w_b"]) == pytest.approx(1 / 3, abs=1e-6)
-        assert float(report["combined"]) == pytest.approx(0.5, abs=1e-6)
+FUSE_FIELDS = ("alpha_a", "beta_a", "alpha_b", "beta_b", "k", "w_a", "w_b", "combined")
+# the shapes and k at --var 1e-300, about 1.25e299 and 5e299, printed with every digit
+SHAPE_1E_300 = f"{1.2499999999999999e+299:.6f}"
+K_1E_300 = f"{4.9999999999999995e+299:.6f}"
+NO_BETA = ": no Beta distribution has these moments"
+# `fuse` byte for byte, as recorded from the implementation that printed through public
+# shape and weight records: arguments -> (exit code, the eight printed values, or the
+# diagnostic after "betatrust fuse: ")
+FUSE_OUTPUTS = {
+    "--a 0.5 --b 0.5 --var 0.05": (
+        0, "2.000000 2.000000 2.000000 2.000000 6.000000 0.666667 0.333333 0.500000"),
+    "--a 0.6844 --b 0.0445 --var 0.01": (
+        0, "14.098410 6.501254 0.144713 3.107262 21.851639 0.942706 -0.879565 0.606047"),
+    "--a 0.37 --b 0.81 --var 0.02": (
+        0, "3.942350 6.712650 5.422950 1.272050 15.350000 0.694137 0.355728 0.544971"),
+    "--a 0.5 --b 0.5 --var-a 0.05 --var-b 0.05": (
+        0, "2.000000 2.000000 2.000000 2.000000 6.000000 0.666667 0.333333 0.500000"),
+    "--a 0.5 --b 0.5 --var 1e-300": (
+        0, " ".join([SHAPE_1E_300] * 4 + [K_1E_300] + ["0.500000"] * 3)),
+    "--a 0.5 --b 0.5 --var 0.3": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 0.3 >= mean*(1-mean) = 0.25" + NO_BETA),
+    "--a 0.5 --b 0.5 --var-b 0.3": (
+        1, "moment inversion of the indirect estimate failed: "
+           "variance 0.3 >= mean*(1-mean) = 0.25" + NO_BETA),
+    "--a 0.5 --b 0.3 --var 1e-320": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 1e-320 < mean*(1-mean)*2**-1022: the Beta shapes would overflow"),
+    "--a 1e-320 --b 0.5": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 0.01 >= mean*(1-mean) = 9.99999e-07" + NO_BETA),
+    "--a 0 --b 1": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 0.01 >= mean*(1-mean) = 9.99999e-07" + NO_BETA),
+    "--a 1 --b 1": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07" + NO_BETA),
+    "--a 0.05 --b 0.05 --var 0.04": (
+        1, "posterior shapes (-0.98125, -0.64375) are not both positive"),
+    "--a 0.01 --b 0.02 --var 0.0098": (
+        1, "posterior shapes (-0.9798979591836735, -0.009897959183673422) "
+           "are not both positive"),
+    "--a 0.9 --b 0.1 --var 0.0899": (
+        1, "posterior shapes (-0.9988876529477198, -0.9988876529477195) are not both positive"),
+    "--a 0.2 --b 0.3 --var 0.159": (
+        1, "posterior shapes (-0.9025157232704403, -0.770440251572327) are not both positive"),
+    "--a 0.99 --b 0.99 --var 0.0098": (
+        1, "posterior shapes (-0.9797959183673449, -0.9997959183673469) are not both positive"),
+}
 
-    def test_reference_edge(self):
-        cp = run_cli("fuse", "--a", "0.6844", "--b", "0.0445", "--var", "0.01")
-        assert cp.returncode == 0, cp.stderr
-        report = parse_report(cp.stdout)
-        assert float(report["alpha_a"]) == pytest.approx(14.098410, abs=1e-6)
-        assert float(report["beta_a"]) == pytest.approx(6.501254, abs=1e-6)
-        assert float(report["alpha_b"]) == pytest.approx(0.144713, abs=1e-6)
-        assert float(report["beta_b"]) == pytest.approx(3.107262, abs=1e-6)
-        assert float(report["k"]) == pytest.approx(21.851639, abs=1e-6)
-        assert float(report["w_b"]) == pytest.approx(-0.879565, abs=1e-6)
-        assert float(report["combined"]) == pytest.approx(0.606047, abs=1e-6)
 
-    def test_invalid_variance_fails_with_diagnostic(self):
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "0.3")
-        assert cp.returncode == 1
-        assert "moment inversion" in cp.stderr
-        assert "variance" in cp.stderr
-
-    def test_overflowing_variance_fails_with_diagnostic(self):
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.3", "--var", "1e-320")
-        assert cp.returncode == 1
-        assert cp.stdout == ""
-        assert "moment inversion" in cp.stderr
-        assert "overflow" in cp.stderr
-
-    def test_tiny_variance_gives_finite_weights(self):
-        # the shapes are about 1.25e299, so aB * k overflowed in the weight w_b
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "1e-300")
-        assert cp.returncode == 0, cp.stderr
-        report = parse_report(cp.stdout)
-        assert report["w_a"] == "0.500000"
-        assert report["w_b"] == "0.500000"
-        assert report["combined"] == "0.500000"
-
-    def test_separate_variances(self):
-        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5",
-                     "--var-a", "0.05", "--var-b", "0.05")
-        assert cp.returncode == 0, cp.stderr
-        assert float(parse_report(cp.stdout)["combined"]) == pytest.approx(0.5, abs=1e-6)
-
-    def test_deterministic_output(self):
-        args = ("fuse", "--a", "0.37", "--b", "0.81", "--var", "0.02")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+@pytest.mark.parametrize("args", list(FUSE_OUTPUTS))
+def test_fuse_output_byte_for_byte(capsys, args):
+    # in process: the suite turns every warning into an error, as -W error does
+    code, expected = FUSE_OUTPUTS[args]
+    assert main(["fuse", *args.split()]) == code
+    if code == 0:
+        stdout = "".join(f"{name} {value}\n" for name, value in zip(FUSE_FIELDS, expected.split()))
+        assert capsys.readouterr() == (stdout, "")
+    else:
+        assert capsys.readouterr() == ("", f"betatrust fuse: {expected}\n")
 
 
 class TestDecide:
@@ -174,6 +184,15 @@ class TestSimulate:
         assert cp.returncode == 1
         assert cp.stderr == "betatrust simulate: variance_direct must be positive, got nan\n"
         assert cp.stdout == "" and not (tmp_path / "x").exists()
+
+    def test_unusable_out_fails_before_any_work(self, tmp_path):
+        # a dense network whose failed edges would otherwise be reported first
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cp = run_cli("simulate", "--nodes", "300", "--edge-prob", "1.0", "--seed", "501",
+                     "--out", str(taken))
+        error = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(taken))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", f"betatrust simulate: {error}\n")
 
     def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))
@@ -318,3 +337,27 @@ def test_help_exits_zero():
     cp = run_cli("--help")
     assert cp.returncode == 0
     assert "fuse" in cp.stdout and "reproduce-table1" in cp.stdout
+
+
+# numpy.random costs about 6 MB of RSS and 18 ms at import; only generate_network needs it
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, sys
+import betatrust.cli
+loaded = ["numpy.random" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["fuse", "--a", "0.5", "--b", "0.5"],
+                 ["decide", "--t", "0.9", "--a", "0.1", "--b", "0.1"],
+                 ["reproduce-table1"]):
+        betatrust.cli.main(argv)
+        loaded.append("numpy.random" in sys.modules)
+from betatrust import ScenarioConfig, generate_network
+generate_network(ScenarioConfig(seed=0, node_count=3, edge_probability=0.5))
+loaded.append("numpy.random" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scalar_commands_never_import_numpy_random():
+    cp = subprocess.run([sys.executable, "-W", "error", "-c", NUMPY_RANDOM_PROBE],
+                        capture_output=True, text=True)
+    assert cp.stdout == "[False, False, False, False, True]\n", cp.stderr

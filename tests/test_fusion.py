@@ -3,14 +3,15 @@
 Frozen reference values were computed with a separate 50-digit
 script evaluating the moment inversion, the kernel-product posterior
 and the weighted sum directly; every frozen value is additionally
-cross-checked here through an independent route (round trips, the
-posterior-mean identity, or the exact closed form).
+cross-checked here through an independent route (scipy's Beta moments,
+the posterior-mean identity, or the exact closed form).
 """
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from betatrust import (
     DegeneratePosteriorError,
@@ -21,15 +22,12 @@ from betatrust import (
     combined_trust,
 )
 from betatrust.fusion import (
-    BetaParams,
     MEAN_EPSILON,
-    beta_mean,
-    beta_pdf,
-    beta_variance,
+    _checked_posterior,
+    _checked_source,
+    _fusion_weights,
+    _shape_mean,
     combined_trust_columns,
-    fusion_weights,
-    moments_to_beta,
-    posterior_params,
 )
 
 # moment inversion of (0.6844, 0.01) and (0.0445, 0.01); 50-digit script
@@ -43,107 +41,49 @@ W_B_13 = -0.8795649201581424
 K_13 = 21.851639
 
 
-class TestBetaPdf:
-    def test_uniform(self):
-        assert beta_pdf(BetaParams(1, 1), 0.3) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric(self):
-        assert beta_pdf(BetaParams(2, 2), 0.5) == pytest.approx(1.5, abs=1e-12)
-
-    def test_asymmetric(self):
-        # 12 * 0.5 * 0.25
-        assert beta_pdf(BetaParams(2, 3), 0.5) == pytest.approx(1.5, abs=1e-12)
-
-    def test_large_shapes_stay_finite(self):
-        assert beta_pdf(BetaParams(400, 600), 0.4) > 0.0
-
-    @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            beta_pdf(BetaParams(2, 2), x)
-
-    def test_endpoint_zero_density(self):
-        assert beta_pdf(BetaParams(2, 2), 0.0) == 0.0
-        assert beta_pdf(BetaParams(2, 2), 1.0) == 0.0
-
-    def test_endpoint_infinite_density_signalled(self):
-        assert beta_pdf(BetaParams(0.5, 2), 0.0) == math.inf
-        assert beta_pdf(BetaParams(2, 0.5), 1.0) == math.inf
-
-    def test_endpoint_unit_exponent(self):
-        # Beta(1, b) at 0 reduces to the normalising constant b
-        assert beta_pdf(BetaParams(1, 2), 0.0) == pytest.approx(2.0, rel=1e-12)
-        assert beta_pdf(BetaParams(3, 1), 1.0) == pytest.approx(3.0, rel=1e-12)
+def test_shape_mean():
+    for shapes, mean in (((1, 1), 0.5), ((2, 3), 0.4), ((10, 10), 0.5)):
+        assert _shape_mean(*shapes) == pytest.approx(mean, abs=1e-15)
 
 
-class TestMoments:
-    @pytest.mark.parametrize(
-        "params, mean",
-        [(BetaParams(1, 1), 0.5), (BetaParams(2, 3), 0.4), (BetaParams(10, 10), 0.5)],
-    )
-    def test_mean(self, params, mean):
-        assert beta_mean(params) == pytest.approx(mean, abs=1e-15)
-
-    @pytest.mark.parametrize(
-        "params, variance",
-        [
-            (BetaParams(1, 1), 1 / 12),
-            (BetaParams(2, 2), 0.05),
-            (BetaParams(2, 3), 0.04),
-        ],
-    )
-    def test_variance(self, params, variance):
-        assert beta_variance(params) == pytest.approx(variance, abs=1e-15)
-
-
-class TestMomentsToBeta:
-    def test_uniform_moments(self):
-        params = moments_to_beta(TrustEstimate(0.5, 1 / 12))
-        assert params.alpha == pytest.approx(1.0, rel=1e-12)
-        assert params.beta == pytest.approx(1.0, rel=1e-12)
-
-    def test_symmetric(self):
-        params = moments_to_beta(TrustEstimate(0.5, 0.05))
-        assert params.alpha == pytest.approx(2.0, rel=1e-12)
-        assert params.beta == pytest.approx(2.0, rel=1e-12)
-
-    def test_reference_edge_estimate(self):
-        params = moments_to_beta(TrustEstimate(0.6844, 0.01))
-        assert params.alpha == pytest.approx(ALPHA_A_13, rel=1e-12)
-        assert params.beta == pytest.approx(BETA_A_13, rel=1e-12)
-        # independent confirmation: the moments round-trip
-        assert beta_mean(params) == pytest.approx(0.6844, rel=1e-12)
-        assert beta_variance(params) == pytest.approx(0.01, rel=1e-12)
-
-    def test_pessimistic_source_small_alpha(self):
-        params = moments_to_beta(TrustEstimate(0.0445, 0.01))
-        assert params.alpha == pytest.approx(ALPHA_B_13, rel=1e-12)
-        assert params.beta == pytest.approx(BETA_B_13, rel=1e-12)
+class TestCheckedSource:
+    @pytest.mark.parametrize("estimate, shapes", [
+        ((0.5, 1 / 12), (1.0, 1.0)),
+        ((0.5, 0.05), (2.0, 2.0)),
+        ((0.4, 0.04), (2.0, 3.0)),
+        ((0.6844, 0.01), (ALPHA_A_13, BETA_A_13)),
+        ((0.0445, 0.01), (ALPHA_B_13, BETA_B_13)),  # a pessimistic source: alpha below 1
+    ], ids=["uniform", "symmetric", "asymmetric", "reference-direct", "reference-indirect"])
+    def test_inverts_the_moments(self, estimate, shapes):
+        alpha, beta = _checked_source(*estimate)
+        assert (alpha, beta) == pytest.approx(shapes, rel=1e-12)
+        # independent confirmation: scipy's Beta has the estimate's moments
+        assert tuple(stats.beta(alpha, beta).stats("mv")) == pytest.approx(estimate, rel=1e-12)
 
     def test_mean_clamped_at_zero(self):
-        params = moments_to_beta(TrustEstimate(0.0, 1e-8))
-        assert beta_mean(params) == pytest.approx(MEAN_EPSILON, rel=1e-9)
+        assert _shape_mean(*_checked_source(0.0, 1e-8)) == pytest.approx(MEAN_EPSILON, rel=1e-9)
 
     def test_mean_clamped_at_one(self):
-        params = moments_to_beta(TrustEstimate(1.0, 1e-8))
-        assert beta_mean(params) == pytest.approx(1.0 - MEAN_EPSILON, rel=1e-9)
+        assert _shape_mean(*_checked_source(1.0, 1e-8)) == pytest.approx(
+            1.0 - MEAN_EPSILON, rel=1e-9)
 
     @pytest.mark.parametrize("variance", [0.25, 0.3, 1.0])
     def test_unreachable_variance(self, variance):
         with pytest.raises(InvalidVarianceError):
-            moments_to_beta(TrustEstimate(0.5, variance))
+            _checked_source(0.5, variance)
 
     # 0.25 / 1e-320 is inf; just below 2**-1024 = 0.25 * 2**-1022 the
     # shapes stay finite but a posterior built from two of them overflows
     @pytest.mark.parametrize("variance", [5e-324, 1e-320, math.nextafter(2.0**-1024, 0.0)])
     def test_variance_whose_shapes_overflow(self, variance):
         with pytest.raises(InvalidVarianceError):
-            moments_to_beta(TrustEstimate(0.5, variance))
+            _checked_source(0.5, variance)
 
-    def test_tiny_variance_round_trips(self):
-        # shapes about 1.25e299: alpha * beta overflowed in the variance
-        params = moments_to_beta(TrustEstimate(0.5, 1e-300))
-        assert beta_variance(params) == pytest.approx(1e-300, rel=1e-12)
+    def test_tiny_variance_gives_finite_shapes(self):
+        # 0.5 * (0.25 / 1e-300 - 1): finite, two orders below the overflow floor
+        alpha, beta = _checked_source(0.5, 1e-300)
+        assert alpha == beta == pytest.approx(1.25e299, rel=1e-12)
+        assert _shape_mean(alpha, beta) == 0.5
 
     def test_nonpositive_variance_rejected_at_construction(self):
         with pytest.raises(InvalidVarianceError):
@@ -158,76 +98,59 @@ class TestMomentsToBeta:
 
 class TestPosterior:
     def test_uniform_pair(self):
-        assert posterior_params(BetaParams(1, 1), BetaParams(1, 1)) == BetaParams(1, 1)
+        assert _checked_posterior(1, 1, 1, 1) == (1, 1)
 
     def test_shape_arithmetic(self):
-        assert posterior_params(BetaParams(2, 3), BetaParams(4, 5)) == BetaParams(5, 7)
+        assert _checked_posterior(2, 3, 4, 5) == (5, 7)
 
     def test_symmetric_posterior_mean(self):
         # kernel product of Beta(2,2) with itself is Beta(3,3): mean 1/2
-        post = posterior_params(BetaParams(2, 2), BetaParams(2, 2))
-        assert post == BetaParams(3, 3)
-        assert beta_mean(post) == pytest.approx(0.5, abs=1e-15)
+        posterior = _checked_posterior(2, 2, 2, 2)
+        assert posterior == (3, 3)
+        assert _shape_mean(*posterior) == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_alpha(self):
         with pytest.raises(DegeneratePosteriorError):
-            posterior_params(BetaParams(0.5, 2), BetaParams(0.5, 2))
+            _checked_posterior(0.5, 2, 0.5, 2)
 
     def test_degenerate_beta(self):
         with pytest.raises(DegeneratePosteriorError):
-            posterior_params(BetaParams(2, 0.4), BetaParams(2, 0.6))
+            _checked_posterior(2, 0.4, 2, 0.6)
 
 
 class TestFusionWeights:
     def test_symmetric_pair(self):
-        weights = fusion_weights(BetaParams(2, 2), BetaParams(2, 2))
-        assert weights.k == pytest.approx(6.0, abs=1e-15)
-        assert weights.w_a == pytest.approx(2 / 3, abs=1e-15)
-        assert weights.w_b == pytest.approx(1 / 3, abs=1e-15)
+        assert _fusion_weights(2, 2, 2, 2) == pytest.approx((6.0, 2 / 3, 1 / 3), abs=1e-15)
 
     def test_asymmetric_pair(self):
-        weights = fusion_weights(BetaParams(2, 3), BetaParams(4, 5))
-        assert weights.k == pytest.approx(12.0, abs=1e-15)
-        assert weights.w_a == pytest.approx(5 / 12, abs=1e-15)
-        assert weights.w_b == pytest.approx(9 * 3 / (4 * 12), abs=1e-15)
+        assert _fusion_weights(2, 3, 4, 5) == pytest.approx(
+            (12.0, 5 / 12, 9 * 3 / (4 * 12)), abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "pair",
-        [
-            (BetaParams(2, 2), BetaParams(2, 2)),
-            (BetaParams(2, 3), BetaParams(4, 5)),
-            (BetaParams(14.0984100416, 6.5012539584), BetaParams(0.1447128875, 3.1072621125)),
-        ],
-    )
-    def test_weighted_sum_identity(self, pair):
-        params_a, params_b = pair
-        weights = fusion_weights(params_a, params_b)
-        lhs = weights.w_a * beta_mean(params_a) + weights.w_b * beta_mean(params_b)
-        rhs = (params_a.alpha + params_b.alpha - 1.0) / weights.k
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+    @pytest.mark.parametrize("shapes", [
+        (2, 2, 2, 2),
+        (2, 3, 4, 5),
+        (14.0984100416, 6.5012539584, 0.1447128875, 3.1072621125),
+    ])
+    def test_weighted_sum_identity(self, shapes):
+        alpha_a, beta_a, alpha_b, beta_b = shapes
+        k, w_a, w_b = _fusion_weights(*shapes)
+        lhs = w_a * _shape_mean(alpha_a, beta_a) + w_b * _shape_mean(alpha_b, beta_b)
+        assert lhs == pytest.approx((alpha_a + alpha_b - 1.0) / k, abs=1e-14)
 
     def test_negative_weight_for_alpha_below_one(self):
-        weights = fusion_weights(
-            BetaParams(ALPHA_A_13, BETA_A_13), BetaParams(ALPHA_B_13, BETA_B_13)
-        )
-        assert weights.k == pytest.approx(K_13, rel=1e-12)
-        assert weights.w_a == pytest.approx(W_A_13, rel=1e-12)
-        assert weights.w_b == pytest.approx(W_B_13, rel=1e-12)
-        assert weights.w_b < 0.0
+        k, w_a, w_b = _fusion_weights(ALPHA_A_13, BETA_A_13, ALPHA_B_13, BETA_B_13)
+        assert (k, w_a, w_b) == pytest.approx((K_13, W_A_13, W_B_13), rel=1e-12)
+        assert w_b < 0.0
 
     @pytest.mark.parametrize("means", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.05)])
     def test_finite_for_huge_shapes(self, means):
         # shapes up to about 2e301: (aB + bB) * (aB - 1) overflowed in w_b
-        params_a, params_b = (moments_to_beta(TrustEstimate(m, 1e-300)) for m in means)
-        weights = fusion_weights(params_a, params_b)
-        assert math.isfinite(weights.w_a) and math.isfinite(weights.w_b)
-        lhs = weights.w_a * beta_mean(params_a) + weights.w_b * beta_mean(params_b)
+        (alpha_a, beta_a), (alpha_b, beta_b) = (_checked_source(m, 1e-300) for m in means)
+        _, w_a, w_b = _fusion_weights(alpha_a, beta_a, alpha_b, beta_b)
+        assert math.isfinite(w_a) and math.isfinite(w_b)
+        lhs = w_a * _shape_mean(alpha_a, beta_a) + w_b * _shape_mean(alpha_b, beta_b)
         expected = combined_trust(*(TrustEstimate(m, 1e-300) for m in means))
         assert lhs == pytest.approx(expected, rel=1e-12)
-
-    def test_degenerate_k(self):
-        with pytest.raises(DegeneratePosteriorError):
-            fusion_weights(BetaParams(0.4, 0.4), BetaParams(0.5, 0.5))
 
 
 class TestCombinedTrust:
@@ -237,27 +160,28 @@ class TestCombinedTrust:
 
     def test_identical_inputs_match_doubled_shapes(self):
         estimate = TrustEstimate(0.73, 0.004)
-        params = moments_to_beta(estimate)
-        expected = beta_mean(BetaParams(2 * params.alpha - 1, 2 * params.beta - 1))
+        alpha, beta = _checked_source(0.73, 0.004)
+        expected = (2 * alpha - 1) / (2 * alpha + 2 * beta - 2)
         assert combined_trust(estimate, estimate) == pytest.approx(expected, rel=1e-12)
 
     def test_reference_edge(self):
         c = combined_trust(TrustEstimate(0.6844, 0.01), TrustEstimate(0.0445, 0.01))
         assert c == pytest.approx(COMBINED_13, rel=1e-12)
 
-    def test_matches_posterior_mean_route(self):
+    def test_matches_the_weighted_sum(self):
         direct = TrustEstimate(0.6844, 0.01)
         indirect = TrustEstimate(0.0445, 0.01)
-        posterior = posterior_params(moments_to_beta(direct), moments_to_beta(indirect))
+        shapes = (*_checked_source(0.6844, 0.01), *_checked_source(0.0445, 0.01))
+        _, w_a, w_b = _fusion_weights(*shapes)
         assert combined_trust(direct, indirect) == pytest.approx(
-            beta_mean(posterior), abs=1e-14
+            w_a * 0.6844 + w_b * 0.0445, abs=1e-14
         )
 
     def test_role_swap_changes_weights_not_result(self):
         direct = TrustEstimate(0.6844, 0.01)
         indirect = TrustEstimate(0.0445, 0.02)
-        params_d, params_i = moments_to_beta(direct), moments_to_beta(indirect)
-        assert fusion_weights(params_d, params_i) != fusion_weights(params_i, params_d)
+        shapes_d, shapes_i = _checked_source(0.6844, 0.01), _checked_source(0.0445, 0.02)
+        assert _fusion_weights(*shapes_d, *shapes_i) != _fusion_weights(*shapes_i, *shapes_d)
         assert combined_trust(direct, indirect) == combined_trust(indirect, direct)
 
     def test_propagates_invalid_variance(self):
@@ -280,10 +204,13 @@ class TestCombinedTrust:
         # aA + aB - 1 is 2**-52, where the weighted sum cancels to -4.4e-16
         direct = TrustEstimate(0.4324296867870303, 0.07820908251563337)
         indirect = TrustEstimate(0.44687694450688287, 0.2114986240697817)
-        posterior = posterior_params(moments_to_beta(direct), moments_to_beta(indirect))
+        alpha_a, beta_a = _checked_source(direct.mean, direct.variance)
+        alpha_b, beta_b = _checked_source(indirect.mean, indirect.variance)
+        assert alpha_a + alpha_b - 1.0 == 2.0**-52
         combined = combined_trust(direct, indirect)
         assert 0.0 < combined < 1.0
-        assert combined == beta_mean(posterior)
+        assert combined == pytest.approx(2.0**-52 / (alpha_a + alpha_b + beta_a + beta_b - 2.0),
+                                         rel=1e-15)
 
     # Estimates whose variance is at the bound (0.3 * 0.7 is 0.21 exactly), above the
     # bound of a mean clamped to 1 - 1e-6, below the overflow floor, and two exact
@@ -324,10 +251,10 @@ class TestCombinedTrust:
         assert str(info.value) == self.BAD_SOURCES[first][1]
 
     @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
-    def test_moments_to_beta_raises_the_same_message(self, case):
+    def test_checked_source_raises_the_same_message(self, case):
         bad, message = self.BAD_SOURCES[case]
         with pytest.raises(InvalidVarianceError) as info:
-            moments_to_beta(bad)
+            _checked_source(bad.mean, bad.variance)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("direct, indirect, message", [
@@ -379,13 +306,6 @@ def test_combined_trust_columns_match_scalar():
         else:
             assert value == expected
     assert 0 < failures < len(direct)
-
-
-def test_beta_params_must_be_positive():
-    with pytest.raises(ValueError):
-        BetaParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BetaParams(1.0, -2.0)
 
 
 def test_range_error_is_a_trust_error_and_a_value_error():

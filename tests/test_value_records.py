@@ -30,13 +30,11 @@ from betatrust import (
 )
 from betatrust.decision import TrustRecord
 from betatrust.documents import document_to_network
-from betatrust.fusion import BetaParams, FusionWeights, beta_pdf, moments_to_beta
+from betatrust.fusion import _checked_source
 from betatrust.netsim import EDGE_COLUMNS, EdgeError
 
 RECORDS = [
     TrustEstimate(0.6, 0.02),
-    BetaParams(2.0, 3.0),
-    FusionWeights(0.4, 0.6, 10.0),
     RiskAppetite(0.25),
     TrustRecord(0.6, 0.1, Decision.DECLINE),
     Edge(0.7, TrustEstimate(0.6), TrustEstimate(0.4, 0.02)),
@@ -108,8 +106,6 @@ def _true_combiner(direct, indirect):
         (lambda: evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3),
                                   combiner=_true_combiner),
          RangeError, "achieved must lie in [0, 1], got True"),
-        (lambda: beta_pdf(BetaParams(2.0, 3.0), True), RangeError,
-         "x must lie in [0, 1], got True"),
         (lambda: ScenarioConfig(seed=1, node_count=3, edge_probability=True), RangeError,
          "edge_probability must lie in [0, 1], got True"),
         (lambda: ScenarioConfig(seed=1, node_count=3, edge_probability=0.5,
@@ -124,9 +120,9 @@ def _true_combiner(direct, indirect):
          ConfigurationError, "max_risk must hold numbers, got bool"),
     ],
     ids=["mean-True", "mean-False", "variance-True", "appetite-True", "appetite-False",
-         "scenario-appetite", "required", "combiner", "beta_pdf",
-         "scenario-edge_probability", "scenario-variance", "required-numpy-bool",
-         "Network-column-list", "Network-max_risk-list"],
+         "scenario-appetite", "required", "combiner", "scenario-edge_probability",
+         "scenario-variance", "required-numpy-bool", "Network-column-list",
+         "Network-max_risk-list"],
 )
 def test_a_bool_is_not_a_trust_value(build, error, message):
     with pytest.raises(error) as caught:
@@ -174,7 +170,6 @@ ENTRY_POINTS = {
         lambda value: evaluate_request(0.9, TrustEstimate(0.2), TrustEstimate(0.3),
                                        combiner=lambda direct, indirect: value),
         "achieved", UNIT),
-    "beta_pdf.x": (lambda value: beta_pdf(BetaParams(2.0, 3.0), value), "x", UNIT),
     **{f"ScenarioConfig.{field}": (_scenario(field), field, rule) for field, rule in (
         ("edge_probability", UNIT), ("variance_direct", VARIANCE),
         ("variance_indirect", VARIANCE), ("max_acceptable_risk", UNIT))},
@@ -364,11 +359,11 @@ def test_a_tiny_numpy_variance_fuses_in_float64():
         warnings.simplefilter("error")
         direct = TrustEstimate(0.5, tiny)
         record = evaluate_request(0.9, direct, TrustEstimate(0.4))
-        params = moments_to_beta(direct)
+        shapes = _checked_source(direct.mean, direct.variance)
     assert direct.variance == float(tiny) and type(direct.variance) is float
     assert record.combined == combined_trust(TrustEstimate(0.5, float(tiny)), TrustEstimate(0.4))
     assert record.combined == 0.5
-    assert math.isfinite(params.alpha) and math.isfinite(params.beta)
+    assert all(math.isfinite(shape) for shape in shapes)
 
 
 def test_a_numpy_number_is_checked_as_the_number_it_is_used_as():
@@ -376,4 +371,3 @@ def test_a_numpy_number_is_checked_as_the_number_it_is_used_as():
     with pytest.raises(InvalidVarianceError):
         TrustEstimate(0.5, tiny)
     assert TrustEstimate(tiny).mean == 0.0
-    assert beta_pdf(BetaParams(2.0, 3.0), tiny) == 0.0
