@@ -25,6 +25,62 @@ def parse_report(stdout):
     return values
 
 
+class TestFuse:
+    def test_symmetric_case(self):
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "0.05")
+        assert cp.returncode == 0, cp.stderr
+        report = parse_report(cp.stdout)
+        assert float(report["alpha_a"]) == pytest.approx(2.0, abs=1e-6)
+        assert float(report["k"]) == pytest.approx(6.0, abs=1e-6)
+        assert float(report["w_a"]) == pytest.approx(2 / 3, abs=1e-6)
+        assert float(report["w_b"]) == pytest.approx(1 / 3, abs=1e-6)
+        assert float(report["combined"]) == pytest.approx(0.5, abs=1e-6)
+
+    def test_reference_edge(self):
+        cp = run_cli("fuse", "--a", "0.6844", "--b", "0.0445", "--var", "0.01")
+        assert cp.returncode == 0, cp.stderr
+        report = parse_report(cp.stdout)
+        assert float(report["alpha_a"]) == pytest.approx(14.098410, abs=1e-6)
+        assert float(report["beta_a"]) == pytest.approx(6.501254, abs=1e-6)
+        assert float(report["alpha_b"]) == pytest.approx(0.144713, abs=1e-6)
+        assert float(report["beta_b"]) == pytest.approx(3.107262, abs=1e-6)
+        assert float(report["k"]) == pytest.approx(21.851639, abs=1e-6)
+        assert float(report["w_b"]) == pytest.approx(-0.879565, abs=1e-6)
+        assert float(report["combined"]) == pytest.approx(0.606047, abs=1e-6)
+
+    def test_invalid_variance_fails_with_diagnostic(self):
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "0.3")
+        assert cp.returncode == 1
+        assert "moment inversion" in cp.stderr
+        assert "variance" in cp.stderr
+
+    def test_overflowing_variance_fails_with_diagnostic(self):
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.3", "--var", "1e-320")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert "moment inversion" in cp.stderr
+        assert "overflow" in cp.stderr
+
+    def test_tiny_variance_gives_finite_weights(self):
+        # the shapes are about 1.25e299, so aB * k overflowed in the weight w_b
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5", "--var", "1e-300")
+        assert cp.returncode == 0, cp.stderr
+        report = parse_report(cp.stdout)
+        assert report["w_a"] == "0.500000"
+        assert report["w_b"] == "0.500000"
+        assert report["combined"] == "0.500000"
+
+    def test_separate_variances(self):
+        cp = run_cli("fuse", "--a", "0.5", "--b", "0.5",
+                     "--var-a", "0.05", "--var-b", "0.05")
+        assert cp.returncode == 0, cp.stderr
+        assert float(parse_report(cp.stdout)["combined"]) == pytest.approx(0.5, abs=1e-6)
+
+    def test_deterministic_output(self):
+        args = ("fuse", "--a", "0.37", "--b", "0.81", "--var", "0.02")
+        assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
 FUSE_FIELDS = ("alpha_a", "beta_a", "alpha_b", "beta_b", "k", "w_a", "w_b", "combined")
 # the shapes and k at --var 1e-300, about 1.25e299 and 5e299, printed with every digit
 SHAPE_1E_300 = f"{1.2499999999999999e+299:.6f}"

@@ -41,9 +41,10 @@ W_B_13 = -0.8795649201581424
 K_13 = 21.851639
 
 
-def test_shape_mean():
-    for shapes, mean in (((1, 1), 0.5), ((2, 3), 0.4), ((10, 10), 0.5)):
-        assert _shape_mean(*shapes) == pytest.approx(mean, abs=1e-15)
+class TestMoments:
+    @pytest.mark.parametrize("params, mean", [((1, 1), 0.5), ((2, 3), 0.4), ((10, 10), 0.5)])
+    def test_mean(self, params, mean):
+        assert _shape_mean(*params) == pytest.approx(mean, abs=1e-15)
 
 
 class TestCheckedSource:

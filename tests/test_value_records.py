@@ -28,6 +28,7 @@ from betatrust import (
     generate_network,
     run_assessment,
 )
+from betatrust.cli import main
 from betatrust.decision import TrustRecord
 from betatrust.documents import document_to_network
 from betatrust.fusion import _checked_source
@@ -288,6 +289,47 @@ def test_every_door_applies_the_same_rule(door, value):
     with pytest.raises(NetworkDocumentError if door.startswith("document.") else error) as caught:
         build(value)
     assert str(caught.value) == message.format(name=name, value=value)
+
+
+# Every command-line option that takes a trust value or a variance, as (command line,
+# name, rule): the command line, with the option's value in place of {value}, exits 1 and
+# prints the rule's message after "betatrust <command>: ". fuse and decide name a source
+# by its mean option, also when --var, --var-a or --var-b set its variance.
+OPTIONS = {
+    "fuse --a": ("fuse --a={value} --b 0.5", "--a: mean", UNIT),
+    "fuse --b": ("fuse --a 0.5 --b={value}", "--b: mean", UNIT),
+    "fuse --var": ("fuse --a 0.5 --b 0.5 --var={value}", "--a: variance", VARIANCE),
+    "fuse --var-a": ("fuse --a 0.5 --b 0.5 --var-a={value}", "--a: variance", VARIANCE),
+    "fuse --var-b": ("fuse --a 0.5 --b 0.5 --var-b={value}", "--b: variance", VARIANCE),
+    "decide --t": ("decide --t={value} --a 0.5 --b 0.5", "required", UNIT),
+    "decide --a": ("decide --t 0.9 --a={value} --b 0.5", "--a: mean", UNIT),
+    "decide --b": ("decide --t 0.9 --a 0.5 --b={value}", "--b: mean", UNIT),
+    "decide --var": ("decide --t 0.9 --a 0.5 --b 0.5 --var={value}", "--a: variance",
+                     VARIANCE),
+    "decide --appetite": ("decide --t 0.9 --a 0.5 --b 0.5 --appetite={value}",
+                          "max_acceptable_risk", UNIT),
+    "simulate --edge-prob": ("simulate --nodes 3 --edge-prob={value}", "edge_probability",
+                             UNIT),
+    "simulate --var": ("simulate --nodes 3 --var={value}", "variance_direct", VARIANCE),
+    "simulate --appetite": ("simulate --nodes 3 --appetite={value}", "max_acceptable_risk",
+                            UNIT),
+}
+
+
+@pytest.mark.parametrize("option, value", [
+    pytest.param(option, value, id=f"{option}-{value!r}")
+    for option, (_, _, rule) in OPTIONS.items() for value in DOOR_VALUES
+    if _breaks(rule, value)])
+def test_every_option_applies_the_same_rule(capsys, tmp_path, option, value):
+    line, name, (_, message) = OPTIONS[option]
+    argv = [part.format(value=repr(value)) for part in line.split()]
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"betatrust {argv[0]}: {message.format(name=name, value=value)}\n")
+    assert not out.exists()  # simulate checks its values before it makes --out
 
 
 # (T, A, variance of A, B, variance of B, appetite) of requests that reach C; a numpy
