@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (TrustError, OSError) as exc:
+    except (TrustError, OSError, MemoryError) as exc:
         print(f"betatrust {args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -46,6 +46,10 @@ _checked_posterior one shape pair, for combined_trust and `betatrust
 fuse`; combined_trust_columns checks whole columns of them, so all three
 give bit-identical values and fail on the same estimates.
 
+Accuracy: C lies within 105 ulps of this formula's exact value on 18,870
+seeded pairs at the default variance.  No fixed ulp count holds: the
+error grows as aA + aB or bA + bB nears 1, or a variance nears its bound.
+
 All functions here are pure and deterministic: identical inputs give
 bit-identical outputs, and no shared state exists, so they are safe to
 call from any number of concurrent contexts.
@@ -126,13 +130,14 @@ def _source_shapes(m, variance, bound):
     return alpha, alpha * (1.0 - m) / m
 
 
-def _variance_error(variance, bound) -> InvalidVarianceError:
-    """The error of a variance outside [bound * 2**-1022, bound)."""
+def _variance_error(mean, m, variance, bound) -> InvalidVarianceError:
+    """The error of a variance outside [bound * 2**-1022, bound), bound of mean clamped to m."""
+    of = "" if m == mean else f" of the mean {mean!r} clamped to {m!r}"
     if variance >= bound:
-        return InvalidVarianceError(f"variance {variance!r} >= mean*(1-mean) = {bound!r}: "
+        return InvalidVarianceError(f"variance {variance!r} >= mean*(1-mean) = {bound!r}{of}: "
                                     "no Beta distribution has these moments")
     return InvalidVarianceError(
-        f"variance {variance!r} < mean*(1-mean)*2**-1022: the Beta shapes would overflow")
+        f"variance {variance!r} < mean*(1-mean)*2**-1022{of}: the Beta shapes would overflow")
 
 
 def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
@@ -159,7 +164,7 @@ def _checked_source(mean, variance) -> tuple[float, float]:
     m = MEAN_EPSILON if mean < MEAN_EPSILON else _MEAN_CEILING if mean > _MEAN_CEILING else mean
     bound = m * (1.0 - m)
     if not bound * 2.0**-1022 <= variance < bound:
-        raise _variance_error(variance, bound)
+        raise _variance_error(mean, m, variance, bound)
     return _source_shapes(m, variance, bound)
 
 

@@ -113,11 +113,12 @@ class EdgeView(Mapping):
             i, j = key
             if not (_is_node_id(i, n) and _is_node_id(j, n)):
                 raise KeyError(key)
-            cell = (i - 1) * n + (j - 1)
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        index = int(np.searchsorted(network.cell, cell))
-        if index == len(network.cell) or network.cell[index] != cell:
+        # row i's edges, then j among them; int(i) + 1, as np.int8(127) + 1 would wrap
+        low, high = network.src.searchsorted(int(i)), network.src.searchsorted(int(i) + 1)
+        index = low + network.dst[low:high].searchsorted(int(j))
+        if index == high or network.dst[index] != j:
             raise KeyError(key)
         required, direct_mean, direct_var, indirect_mean, indirect_var = (
             float(getattr(network, name)[index]) for name in EDGE_COLUMNS)
@@ -129,10 +130,9 @@ class Network:
     """Directed graph of nodes with per-edge trust data and per-node appetite.
 
     The edges are held as read-only columns, one entry per edge in
-    row-major (src, dst) order: src and dst (integer node ids), the float
-    columns named in EDGE_COLUMNS, and cell, the flat index (src - 1) *
-    node_count + dst - 1 of the edge's cell in an n x n matrix.  max_risk
-    holds the appetite of node i at index i - 1.
+    row-major (src, dst) order: src and dst (integer node ids) and the
+    float columns named in EDGE_COLUMNS.  max_risk holds the appetite of
+    node i at index i - 1.
 
     The constructor takes one-dimensional columns in any edge order.  A
     column that is already a read-only one-dimensional ndarray of the
@@ -202,23 +202,18 @@ class Network:
                 k = int(ok.argmin())
                 where = f"node {k + 1}" if name == "max_risk" else f"edge ({src[k]}, {dst[k]})"
                 rule(f"{where}: {name}", float(column[k]))
-        cell = src - 1  # in place, so that no temporary is as long as the column
-        cell *= n
-        cell += dst
-        cell -= 1
-        if np.any(cell[1:] <= cell[:-1]):
-            order = np.argsort(cell, kind="stable")
-            cell, src, dst = cell[order], src[order], dst[order]
+        # each (src, dst) pair after the one before it; only bool temporaries on sorted input
+        if not np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])):
+            order = np.lexsort((dst, src))  # stable
+            src, dst = src[order], dst[order]
             columns = [column[order] for column in columns]
-            same = np.flatnonzero(cell[1:] == cell[:-1])
+            same = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
             if same.size:
-                raise ConfigurationError(
-                    f"duplicate edge ({src[same[0]]}, {dst[same[0]]})"
-                )
-        for array in (cell, src, dst, *columns):  # cell, and any copies the sort made
-            array.flags.writeable = False
+                raise ConfigurationError(f"duplicate edge ({src[same[0]]}, {dst[same[0]]})")
+            for array in (src, dst, *columns):
+                array.flags.writeable = False
         self.node_count = n
-        self.src, self.dst, self.cell, self.max_risk = src, dst, cell, max_risk
+        self.src, self.dst, self.max_risk = src, dst, max_risk
         (self.required, self.direct_mean, self.direct_variance,
          self.indirect_mean, self.indirect_variance) = columns
 
@@ -302,15 +297,15 @@ def _section_blocks(result: AssessmentResult, name: str, rows: int) -> Iterator[
     diagonal, column = _SECTIONS[name]
     network = result.network
     values = getattr(network if column in EDGE_COLUMNS else result, column)
-    n, cell = network.node_count, network.cell
+    n, src, dst = network.node_count, network.src, network.dst
     buffer = np.empty((min(rows, n), n))
     for first in range(0, n, rows):
         block = buffer[:n - first]
         block.fill(0.0)
         flat = block.reshape(-1)
         flat[first::n + 1] = diagonal
-        low, high = np.searchsorted(cell, (first * n, (first + len(block)) * n))
-        flat[cell[low:high] - first * n] = values[low:high]
+        low, high = np.searchsorted(src, (first + 1, first + len(block) + 1))
+        flat[(src[low:high] - (first + 1)) * n + dst[low:high] - 1] = values[low:high]
         yield block
 
 

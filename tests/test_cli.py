@@ -111,13 +111,16 @@ FUSE_OUTPUTS = {
            "variance 1e-320 < mean*(1-mean)*2**-1022: the Beta shapes would overflow"),
     "--a 1e-320 --b 0.5": (
         1, "moment inversion of the direct estimate failed: "
-           "variance 0.01 >= mean*(1-mean) = 9.99999e-07" + NO_BETA),
+           "variance 0.01 >= mean*(1-mean) = 9.99999e-07 of the mean 1e-320 clamped to 1e-06"
+           + NO_BETA),
     "--a 0 --b 1": (
         1, "moment inversion of the direct estimate failed: "
-           "variance 0.01 >= mean*(1-mean) = 9.99999e-07" + NO_BETA),
+           "variance 0.01 >= mean*(1-mean) = 9.99999e-07 of the mean 0.0 clamped to 1e-06"
+           + NO_BETA),
     "--a 1 --b 1": (
         1, "moment inversion of the direct estimate failed: "
-           "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07" + NO_BETA),
+           "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07 "
+           "of the mean 1.0 clamped to 0.999999" + NO_BETA),
     "--a 0.05 --b 0.05 --var 0.04": (
         1, "posterior shapes (-0.98125, -0.64375) are not both positive"),
     "--a 0.01 --b 0.02 --var 0.0098": (
@@ -249,6 +252,17 @@ class TestSimulate:
                      "--out", str(taken))
         error = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(taken))
         assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", f"betatrust simulate: {error}\n")
+
+    def test_run_too_large_to_allocate_exits_one_without_a_traceback(self, tmp_path):
+        # 10**7 nodes need 1.42 PiB of edge rows, over ten times the 128 TiB that a process
+        # maps on x86-64 Linux, so the first allocation fails at once and touches no memory
+        out = tmp_path / "big"
+        cp = run_cli("simulate", "--nodes", "10000000", "--edge-prob", "1.0", "--out", str(out))
+        assert (cp.returncode, cp.stdout) == (1, "")
+        # numpy's own message, on one line: "Unable to allocate 1.42 PiB for an array ..."
+        assert cp.stderr.startswith("betatrust simulate: Unable to allocate ")
+        assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
+        assert not out.exists() or not any(out.iterdir())  # no file written
 
     def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))

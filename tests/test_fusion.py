@@ -214,15 +214,20 @@ class TestCombinedTrust:
                                          rel=1e-15)
 
     # Estimates whose variance is at the bound (0.3 * 0.7 is 0.21 exactly), above the
-    # bound of a mean clamped to 1 - 1e-6, below the overflow floor, and two exact
-    # reals whose quotient with the bound has no float, with their InvalidVarianceError
+    # bound of a mean clamped to 1 - 1e-6, below the overflow floor of a mean clamped to
+    # 1e-6 and of an unclamped one, and two exact reals whose quotient with the bound has
+    # no float, with their InvalidVarianceError; a clamped mean is named in the message
     BAD_SOURCES = {
         "at-bound": (TrustEstimate(0.3, 0.21),
                      "variance 0.21 >= mean*(1-mean) = 0.21: "
                      "no Beta distribution has these moments"),
         "clamped-bound": (TrustEstimate(1.0, 0.01),
-                          "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07: "
+                          "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07 "
+                          "of the mean 1.0 clamped to 0.999999: "
                           "no Beta distribution has these moments"),
+        "clamped-overflow": (TrustEstimate(0.0, 1e-320),
+                             "variance 1e-320 < mean*(1-mean)*2**-1022 "
+                             "of the mean 0.0 clamped to 1e-06: the Beta shapes would overflow"),
         "overflow": (TrustEstimate(0.5, 1e-309),
                      "variance 1e-309 < mean*(1-mean)*2**-1022: "
                      "the Beta shapes would overflow"),

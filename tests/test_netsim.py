@@ -38,7 +38,9 @@ from betatrust import netsim
 from betatrust.decision import COMBINERS, DECISIONS, FAILED, average_combiner
 from betatrust.documents import (
     load_bundled_three_node,
+    load_network,
     network_to_document,
+    save_network,
     write_matrices,
     write_risk_table,
 )
@@ -264,8 +266,23 @@ def test_generation_peaks_within_a_quarter_above_what_the_network_owns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    columns = ("src", "dst", "cell", "max_risk", *netsim.EDGE_COLUMNS)
+    columns = ("src", "dst", "max_risk", *netsim.EDGE_COLUMNS)
     assert peak <= 1.25 * owned_bytes(getattr(network, name) for name in columns)
+
+
+def test_sorted_frozen_columns_cost_less_than_one_int64_column():
+    # such columns are kept as given, and the order check compares adjacent (src, dst)
+    # pairs into bool temporaries: no column-length int64 key is made
+    network = generate_network(ScenarioConfig(seed=501, node_count=300, edge_probability=1.0))
+    columns = [network.src, network.dst, *(getattr(network, name) for name in netsim.EDGE_COLUMNS)]
+    Network(300, *columns, network.max_risk)  # any lazy allocation happens outside the trace
+    tracemalloc.start()
+    try:
+        Network(300, *columns, network.max_risk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < network.src.nbytes
 
 
 def test_a_simulate_run_holds_no_dense_matrix():
@@ -363,10 +380,16 @@ class TestColumns:
         required[0] = 0.75
         assert src.flags.writeable
 
-    def test_duplicate_edge_rejected(self):
-        ones = np.full(2, 0.5)
-        with pytest.raises(ConfigurationError, match=r"duplicate edge \(1, 2\)"):
-            Network(2, [1, 1], [2, 2], ones, ones, ones, ones, ones, np.zeros(2))
+    # adjacent duplicates, and duplicates apart in shuffled columns: the first in row-major
+    # order is named
+    @pytest.mark.parametrize("src, dst, edge", [
+        ([1, 1], [2, 2], "(1, 2)"), ([2, 1, 2], [3, 2, 3], "(2, 3)"),
+        ([1, 3, 1, 3, 1], [3, 1, 2, 1, 3], "(1, 3)"), ([3, 3, 1, 1], [2, 1, 2, 2], "(1, 2)")])
+    def test_duplicate_edge_rejected(self, src, dst, edge):
+        ones = np.full(len(src), 0.5)
+        with pytest.raises(ConfigurationError) as info:
+            Network(3, src, dst, ones, ones, ones, ones, ones, np.zeros(3))
+        assert str(info.value) == f"duplicate edge {edge}"
 
     @pytest.mark.parametrize("change, error, message", [
         ({"src": 2}, ConfigurationError, "self-edge (2, 2) is not allowed"),
@@ -503,6 +526,49 @@ class TestColumns:
                 edges[key]
         with pytest.raises(TypeError):
             edges[(i, j)] = edges[(i, j)]
+
+    def test_a_network_holds_only_its_given_columns(self, tmp_path):
+        given = {"node_count", "src", "dst", *netsim.EDGE_COLUMNS, "max_risk"}
+        network = self.network()
+        reversed_columns = [column[::-1] for column in self.columns(network)]
+        save_network(network, tmp_path / "network.json")
+        for each in (network, Network(5, *reversed_columns, network.max_risk),
+                     load_network(tmp_path / "network.json"), load_bundled_three_node()):
+            assert set(vars(each)) == given
+
+    @pytest.mark.parametrize("n, probability, seed", [
+        (1, 1.0, 0), (2, 1.0, 1), (2, 0.5, 2), (3, 0.5, 3), (12, 0.3, 4), (30, 0.6, 5),
+        (40, 1.0, 6)])
+    def test_edges_agree_with_a_dict_for_every_key(self, n, probability, seed):
+        # a seeded edge set whose first, middle and last rows are empty (for n >= 3),
+        # handed over in a shuffled order
+        rng = np.random.default_rng(seed)
+        empty = {1, (n + 1) // 2, n} if n >= 3 else set()
+        expected = {}
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            if i not in empty and rng.random() < probability:
+                required, direct, indirect = rng.random(3).tolist()
+                direct_var, indirect_var = (0.1 * (1.0 - rng.random(2))).tolist()
+                expected[(i, j)] = Edge(required, TrustEstimate(direct, direct_var),
+                                        TrustEstimate(indirect, indirect_var))
+        keys = list(expected)
+        shuffled = {keys[k]: expected[keys[k]] for k in rng.permutation(len(keys))}
+        edges = network_from_edges(n, shuffled).edges
+        assert list(edges) == sorted(expected)
+        for key in itertools.product(range(n + 2), repeat=2):
+            if key in expected:
+                assert edges[key] == expected[key]
+            else:
+                with pytest.raises(KeyError):
+                    edges[key]
+
+    @pytest.mark.parametrize("kind", [np.int8, np.uint8, np.int16, np.uint64, np.int64])
+    def test_edges_take_numpy_integer_node_ids(self, kind):
+        # row 127 ends where row 128 starts: np.int8(127) + 1 would wrap to -128
+        edge = Edge(0.5, TrustEstimate(0.4), TrustEstimate(0.6))
+        edges = network_from_edges(130, {(127, 3): edge, (128, 1): edge}).edges
+        assert edges[(kind(127), kind(3))] == edge
+        assert (kind(127), kind(1)) not in edges and (kind(3), kind(127)) not in edges
 
     def test_appetite_for_unknown_node(self):
         network = self.network()

@@ -1,11 +1,15 @@
-"""Every source file parses as Python 3.10, the oldest version pyproject.toml supports."""
+"""Every source file parses as Python 3.10, the oldest version pyproject.toml supports.
+
+That covers the package, the tests and the benchmark in perfbench/, which the README tells
+users to run; the files are only read."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "betatrust").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "betatrust").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def parses_as_310(source: str) -> bool:
