@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 from . import documents, netsim
@@ -116,19 +118,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         variance_indirect=args.var,
         max_acceptable_risk=args.appetite,
     )
-    # an unusable --out fails here, before any edge is generated or reported
-    args.out.mkdir(parents=True, exist_ok=True)
-    network = netsim.generate_network(config)
+    # the directories this run makes, deepest first; a failed run removes those still empty
+    created = list(takewhile(lambda path: not path.exists(), (args.out, *args.out.parents)))
+    try:
+        # an unusable --out fails here, before any edge is generated or reported
+        args.out.mkdir(parents=True, exist_ok=True)
+        network = netsim.generate_network(config)
 
-    result = netsim.run_assessment(network, COMBINERS[args.method])
-    sys.stderr.writelines(
-        f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}\n"
-        for error in result.errors)
+        result = netsim.run_assessment(network, COMBINERS[args.method])
+        sys.stderr.writelines(
+            f"edge {error.from_node}->{error.to_node}: {error.kind}: {error.message}\n"
+            for error in result.errors)
 
-    matrices_path = args.out / "matrices.csv"
-    series_path = args.out / "risk_series.csv"
-    documents.write_matrices(matrices_path, result, comments=[f"combiner: {args.method}"])
-    documents.write_risk_table(series_path, result)
+        matrices_path = args.out / "matrices.csv"
+        series_path = args.out / "risk_series.csv"
+        documents.write_matrices(matrices_path, result, comments=[f"combiner: {args.method}"])
+        documents.write_risk_table(series_path, result)
+    except BaseException:
+        for path in created:
+            with suppress(OSError):
+                path.rmdir()
+        raise
 
     tally = result.decision_tally()
     print(f"nodes {network.node_count}")

@@ -72,11 +72,11 @@ class RiskAppetite:
     max_acceptable_risk: float
 
     def __init__(self, max_acceptable_risk: float = 0.0) -> None:
-        object.__setattr__(self, "max_acceptable_risk",
-                           _check_unit_interval("max_acceptable_risk", max_acceptable_risk))
+        _set_max_acceptable_risk(
+            self, _check_unit_interval("max_acceptable_risk", max_acceptable_risk))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TrustRecord:
     """Outcome of one job request: combined trust, risk and decision.
 
@@ -92,6 +92,18 @@ class TrustRecord:
     combined: Optional[float]
     risk: float
     decision: Decision
+
+    def __init__(self, combined: Optional[float], risk: float, decision: Decision) -> None:
+        _set_combined(self, combined)
+        _set_risk(self, risk)
+        _set_decision(self, decision)
+
+
+# the slots' setters, as for TrustEstimate
+_set_max_acceptable_risk = RiskAppetite.max_acceptable_risk.__set__
+_set_combined = TrustRecord.combined.__set__
+_set_risk = TrustRecord.risk.__set__
+_set_decision = TrustRecord.decision.__set__
 
 
 # The record of every request accepted by A, and of every one accepted by B.

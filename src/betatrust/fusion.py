@@ -44,7 +44,9 @@ _source_shapes, _posterior_shapes and _shape_mean, which take floats or
 numpy arrays alike.  _checked_source clamps and checks one estimate, and
 _checked_posterior one shape pair, for combined_trust and `betatrust
 fuse`; combined_trust_columns checks whole columns of them, so all three
-give bit-identical values and fail on the same estimates.
+give bit-identical values and fail on the same estimates.  The two
+checks' errors format their text only when read (errors.TrustError); the
+value rules' errors format it at once, since their value may be mutable.
 
 Accuracy: C lies within 105 ulps of this formula's exact value on 18,870
 seeded pairs at the default variance.  No fixed ulp count holds: the
@@ -118,10 +120,16 @@ class TrustEstimate:
     mean: float
     variance: float
 
-    # stores what the value rules return; a __post_init__ would set each field twice
+    # stores what the value rules return, each through its slot's own setter
     def __init__(self, mean: float, variance: float = DEFAULT_VARIANCE) -> None:
-        object.__setattr__(self, "mean", _check_unit_interval("mean", mean))
-        object.__setattr__(self, "variance", _check_variance("variance", variance))
+        _set_mean(self, _check_unit_interval("mean", mean))
+        _set_variance(self, _check_variance("variance", variance))
+
+
+# the slots' setters, from the class the decorator made: each stores its field
+# without the lookup that object.__setattr__ makes on every call
+_set_mean = TrustEstimate.mean.__set__
+_set_variance = TrustEstimate.variance.__set__
 
 
 def _source_shapes(m, variance, bound):
@@ -131,13 +139,19 @@ def _source_shapes(m, variance, bound):
 
 
 def _variance_error(mean, m, variance, bound) -> InvalidVarianceError:
-    """The error of a variance outside [bound * 2**-1022, bound), bound of mean clamped to m."""
-    of = "" if m == mean else f" of the mean {mean!r} clamped to {m!r}"
+    """The error of a variance outside [bound * 2**-1022, bound), bound of mean clamped to m.
+
+    Its args are a format string and the numbers it names; str() formats them.
+    """
     if variance >= bound:
-        return InvalidVarianceError(f"variance {variance!r} >= mean*(1-mean) = {bound!r}{of}: "
-                                    "no Beta distribution has these moments")
-    return InvalidVarianceError(
-        f"variance {variance!r} < mean*(1-mean)*2**-1022{of}: the Beta shapes would overflow")
+        text, operands = "variance %r >= mean*(1-mean) = %r", (variance, bound)
+        reason = ": no Beta distribution has these moments"
+    else:
+        text, operands = "variance %r < mean*(1-mean)*2**-1022", (variance,)
+        reason = ": the Beta shapes would overflow"
+    if m != mean:
+        text, operands = text + " of the mean %r clamped to %r", (*operands, mean, m)
+    return InvalidVarianceError(text + reason, *operands)
 
 
 def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
@@ -172,9 +186,8 @@ def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
     """Posterior shapes; DegeneratePosteriorError unless both are positive."""
     alpha, beta = _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b)
     if alpha <= 0.0 or beta <= 0.0:
-        raise DegeneratePosteriorError(
-            f"posterior shapes ({alpha!r}, {beta!r}) are not both positive"
-        )
+        raise DegeneratePosteriorError("posterior shapes (%r, %r) are not both positive",
+                                       alpha, beta)
     return alpha, beta
 
 

@@ -109,6 +109,10 @@ FUSE_OUTPUTS = {
     "--a 0.5 --b 0.3 --var 1e-320": (
         1, "moment inversion of the direct estimate failed: "
            "variance 1e-320 < mean*(1-mean)*2**-1022: the Beta shapes would overflow"),
+    "--a 1 --b 0.5 --var 1e-320": (
+        1, "moment inversion of the direct estimate failed: "
+           "variance 1e-320 < mean*(1-mean)*2**-1022 of the mean 1.0 clamped to 0.999999: "
+           "the Beta shapes would overflow"),
     "--a 1e-320 --b 0.5": (
         1, "moment inversion of the direct estimate failed: "
            "variance 0.01 >= mean*(1-mean) = 9.99999e-07 of the mean 1e-320 clamped to 1e-06"
@@ -132,6 +136,10 @@ FUSE_OUTPUTS = {
         1, "posterior shapes (-0.9025157232704403, -0.770440251572327) are not both positive"),
     "--a 0.99 --b 0.99 --var 0.0098": (
         1, "posterior shapes (-0.9797959183673449, -0.9997959183673469) are not both positive"),
+    "--a 0.1 --b 0.5 --var-a 0.01 --var-b 0.2": (
+        1, "posterior shapes (-0.07499999999999996, 6.325) are not both positive"),
+    "--a 0.9 --b 0.5 --var-a 0.01 --var-b 0.2": (
+        1, "posterior shapes (6.324999999999998, -0.0750000000000004) are not both positive"),
 }
 
 
@@ -262,7 +270,20 @@ class TestSimulate:
         # numpy's own message, on one line: "Unable to allocate 1.42 PiB for an array ..."
         assert cp.stderr.startswith("betatrust simulate: Unable to allocate ")
         assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
-        assert not out.exists() or not any(out.iterdir())  # no file written
+        assert not out.exists()  # the run removes the directory it made
+
+    def test_failed_run_removes_every_directory_it_made(self, tmp_path):
+        out = tmp_path / "made" / "here" / "big"
+        cp = run_cli("simulate", "--nodes", "10000000", "--edge-prob", "1.0", "--out", str(out))
+        assert cp.returncode == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_out_that_existed(self, tmp_path):
+        out = tmp_path / "kept"
+        out.mkdir()
+        cp = run_cli("simulate", "--nodes", "10000000", "--edge-prob", "1.0", "--out", str(out))
+        assert cp.returncode == 1
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))

@@ -165,13 +165,15 @@ class TestNetworkDocument:
         assert network.appetite_for(1) == RiskAppetite(0.0)
         assert network.appetite_for(2) == RiskAppetite(0.4)
 
-    @pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "02", "+2", "2.0"])
+    # a key with braces or a % is printed as written, not read as a format string
+    @pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "02", "+2", "2.0", "{0}", "%s"])
     def test_appetite_key_must_be_a_node_id_as_written(self, key):
         doc = minimal_document()
         doc["nodes"] = list(range(1, 11))
         doc["appetites"] = {key: 0.4}
-        with pytest.raises(NetworkDocumentError, match="not a node id"):
+        with pytest.raises(NetworkDocumentError) as info:
             document_to_network(doc)
+        assert str(info.value) == f"appetites.{key}: appetite key {key!r} is not a node id 1..10"
 
     @pytest.mark.parametrize(
         "value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-1e400")]

@@ -6,7 +6,9 @@ and the weighted sum directly; every frozen value is additionally
 cross-checked here through an independent route (scipy's Beta moments,
 the posterior-mean identity, or the exact closed form).
 """
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -216,33 +218,40 @@ class TestCombinedTrust:
     # Estimates whose variance is at the bound (0.3 * 0.7 is 0.21 exactly), above the
     # bound of a mean clamped to 1 - 1e-6, below the overflow floor of a mean clamped to
     # 1e-6 and of an unclamped one, and two exact reals whose quotient with the bound has
-    # no float, with their InvalidVarianceError; a clamped mean is named in the message
+    # no float, with their InvalidVarianceError and the numbers its text names (the
+    # variance, the bound when exceeded, and a clamped mean with its clamp)
     BAD_SOURCES = {
         "at-bound": (TrustEstimate(0.3, 0.21),
                      "variance 0.21 >= mean*(1-mean) = 0.21: "
-                     "no Beta distribution has these moments"),
+                     "no Beta distribution has these moments",
+                     (0.21, 0.21)),
         "clamped-bound": (TrustEstimate(1.0, 0.01),
                           "variance 0.01 >= mean*(1-mean) = 9.999990000287556e-07 "
                           "of the mean 1.0 clamped to 0.999999: "
-                          "no Beta distribution has these moments"),
+                          "no Beta distribution has these moments",
+                          (0.01, 9.999990000287556e-07, 1.0, 0.999999)),
         "clamped-overflow": (TrustEstimate(0.0, 1e-320),
                              "variance 1e-320 < mean*(1-mean)*2**-1022 "
-                             "of the mean 0.0 clamped to 1e-06: the Beta shapes would overflow"),
+                             "of the mean 0.0 clamped to 1e-06: the Beta shapes would overflow",
+                             (1e-320, 0.0, 1e-06)),
         "overflow": (TrustEstimate(0.5, 1e-309),
                      "variance 1e-309 < mean*(1-mean)*2**-1022: "
-                     "the Beta shapes would overflow"),
+                     "the Beta shapes would overflow",
+                     (1e-309,)),
         "huge-int": (TrustEstimate(0.5, 10**400),
                      f"variance {10**400} >= mean*(1-mean) = 0.25: "
-                     "no Beta distribution has these moments"),
+                     "no Beta distribution has these moments",
+                     (10**400, 0.25)),
         "tiny-fraction": (TrustEstimate(0.5, Fraction(1, 10**400)),
                           f"variance {Fraction(1, 10**400)!r} < mean*(1-mean)*2**-1022: "
-                          "the Beta shapes would overflow"),
+                          "the Beta shapes would overflow",
+                          (Fraction(1, 10**400),)),
     }
 
     @pytest.mark.parametrize("source", ["direct", "indirect"])
     @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
     def test_variance_error_message(self, case, source):
-        bad, message = self.BAD_SOURCES[case]
+        bad, message, _ = self.BAD_SOURCES[case]
         good = TrustEstimate(0.6844, 0.01)
         args = (bad, good) if source == "direct" else (good, bad)
         with pytest.raises(InvalidVarianceError) as info:
@@ -258,25 +267,43 @@ class TestCombinedTrust:
 
     @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
     def test_checked_source_raises_the_same_message(self, case):
-        bad, message = self.BAD_SOURCES[case]
+        bad, message, operands = self.BAD_SOURCES[case]
         with pytest.raises(InvalidVarianceError) as info:
             _checked_source(bad.mean, bad.variance)
-        assert str(info.value) == message
+        assert_deferred_text(info.value, message, operands)
 
-    @pytest.mark.parametrize("direct, indirect, message", [
-        (TrustEstimate(0.1, 0.06), TrustEstimate(0.1, 0.06),
-         "posterior shapes (-0.8999999999999999, -0.09999999999999964) are not both positive"),
-        (TrustEstimate(0.9, 0.06), TrustEstimate(0.9, 0.06),
-         "posterior shapes (-0.10000000000000042, -0.9) are not both positive"),
-        (TrustEstimate(0.9, 0.01), TrustEstimate(0.5, 0.2),
-         "posterior shapes (6.324999999999998, -0.0750000000000004) are not both positive"),
-        (TrustEstimate(0.5, 0.2), TrustEstimate(0.9, 0.01),
-         "posterior shapes (6.324999999999998, -0.0750000000000004) are not both positive"),
-    ], ids=["low-means", "high-means", "direct-strong", "indirect-strong"])
-    def test_degenerate_posterior_message(self, direct, indirect, message):
+    # posterior shapes of which both, beta only or alpha only are not positive, with the
+    # DegeneratePosteriorError text that names them
+    DEGENERATE = {
+        "low-means": (TrustEstimate(0.1, 0.06), TrustEstimate(0.1, 0.06),
+                      (-0.8999999999999999, -0.09999999999999964),
+                      "posterior shapes (-0.8999999999999999, -0.09999999999999964) "
+                      "are not both positive"),
+        "high-means": (TrustEstimate(0.9, 0.06), TrustEstimate(0.9, 0.06),
+                       (-0.10000000000000042, -0.9),
+                       "posterior shapes (-0.10000000000000042, -0.9) are not both positive"),
+        "direct-strong": (TrustEstimate(0.9, 0.01), TrustEstimate(0.5, 0.2),
+                          (6.324999999999998, -0.0750000000000004),
+                          "posterior shapes (6.324999999999998, -0.0750000000000004) "
+                          "are not both positive"),
+        "indirect-strong": (TrustEstimate(0.5, 0.2), TrustEstimate(0.9, 0.01),
+                            (6.324999999999998, -0.0750000000000004),
+                            "posterior shapes (6.324999999999998, -0.0750000000000004) "
+                            "are not both positive"),
+        "direct-weak": (TrustEstimate(0.1, 0.01), TrustEstimate(0.5, 0.2),
+                        (-0.07499999999999996, 6.325),
+                        "posterior shapes (-0.07499999999999996, 6.325) are not both positive"),
+        "indirect-weak": (TrustEstimate(0.5, 0.2), TrustEstimate(0.1, 0.01),
+                          (-0.07499999999999996, 6.325),
+                          "posterior shapes (-0.07499999999999996, 6.325) are not both positive"),
+    }
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_degenerate_posterior_message(self, case):
+        direct, indirect, shapes, message = self.DEGENERATE[case]
         with pytest.raises(DegeneratePosteriorError) as info:
             combined_trust(direct, indirect)
-        assert str(info.value) == message
+        assert_deferred_text(info.value, message, shapes)
 
     def test_deterministic(self):
         a = TrustEstimate(0.3141592653589793, 0.0123456789)
@@ -312,6 +339,28 @@ def test_combined_trust_columns_match_scalar():
         else:
             assert value == expected
     assert 0 < failures < len(direct)
+
+
+def assert_deferred_text(error, message, operands):
+    """error holds a format string and operands, prints message, and survives pickle and copy."""
+    assert (error.args[1:], str(error)) == (operands, message)
+    assert [type(value) for value in error.args[1:]] == [type(value) for value in operands]
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(twin) is type(error)
+        assert (twin.args, str(twin)) == (error.args, message)
+
+
+@pytest.mark.parametrize("error", [TrustError("{0} and {} and %r and 100 %"),
+                                   InvalidVarianceError("{0} and {} and %r and 100 %")])
+def test_one_argument_error_prints_its_text_unchanged(error):
+    assert str(error) == error.args[0]
+    assert str(pickle.loads(pickle.dumps(error))) == str(copy.copy(error)) == error.args[0]
+
+
+def test_range_error_text_with_format_fields_prints_unchanged():
+    with pytest.raises(RangeError) as info:
+        TrustEstimate("{0} %s")
+    assert str(info.value) == "mean must lie in [0, 1], got '{0} %s'"
 
 
 def test_range_error_is_a_trust_error_and_a_value_error():
