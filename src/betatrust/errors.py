@@ -8,21 +8,25 @@ combination whose posterior shapes would not be positive).
 The fusion's checks of a source and of a posterior raise those two with
 a format string and the numbers it names as args, and str() formats them
 when read, so a caller that only tells the kinds apart pays for no float
-repr.  Every other error, the value rules' included, holds its text as
-its one argument.
+repr.  Their format strings are _Format instances, built once by fusion;
+any other error prints as Exception does, whatever its args.
 """
+
+
+class _Format(str):
+    """A format string that TrustError.__str__ fills with the error's other args."""
 
 
 class TrustError(Exception):
     """Base class for all errors raised by this package.
 
-    The text of one argument is that argument as it stands; of more, as
-    in logging, args[0] % args[1:].
+    The text of one raised with a _Format as args[0] is, as in logging,
+    args[0] % args[1:]; of any other, what Exception's str() gives.
     """
 
     def __str__(self) -> str:
         args = self.args
-        return args[0] % args[1:] if len(args) > 1 else super().__str__()
+        return args[0] % args[1:] if args and type(args[0]) is _Format else super().__str__()
 
 
 class InvalidVarianceError(TrustError):

@@ -45,8 +45,9 @@ numpy arrays alike.  _checked_source clamps and checks one estimate, and
 _checked_posterior one shape pair, for combined_trust and `betatrust
 fuse`; combined_trust_columns checks whole columns of them, so all three
 give bit-identical values and fail on the same estimates.  The two
-checks' errors format their text only when read (errors.TrustError); the
-value rules' errors format it at once, since their value may be mutable.
+checks' errors format one of five errors._Format texts, built at import,
+only when read; the value rules' errors format their text at once, since
+their value may be mutable.
 
 Accuracy: C lies within 105 ulps of this formula's exact value on 18,870
 seeded pairs at the default variance.  No fixed ulp count holds: the
@@ -63,7 +64,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DegeneratePosteriorError, InvalidVarianceError, RangeError
+from .errors import DegeneratePosteriorError, InvalidVarianceError, RangeError, _Format
 
 # Trust means are clamped to [EPSILON, 1 - EPSILON] before the moment
 # inversion; a mean of exactly 0 or 1 would divide by zero in the beta
@@ -138,20 +139,27 @@ def _source_shapes(m, variance, bound):
     return alpha, alpha * (1.0 - m) / m
 
 
+# _variance_error's texts for a mean as given and for one clamped, built once
+_AT_BOUND_TEXTS, _TOO_SMALL_TEXTS = (
+    (_Format(head + reason), _Format(f"{head} of the mean %r clamped to %r{reason}"))
+    for head, reason in (
+        ("variance %r >= mean*(1-mean) = %r", ": no Beta distribution has these moments"),
+        ("variance %r < mean*(1-mean)*2**-1022", ": the Beta shapes would overflow")))
+_DEGENERATE_TEXT = _Format("posterior shapes (%r, %r) are not both positive")
+
+
 def _variance_error(mean, m, variance, bound) -> InvalidVarianceError:
     """The error of a variance outside [bound * 2**-1022, bound), bound of mean clamped to m.
 
     Its args are a format string and the numbers it names; str() formats them.
     """
     if variance >= bound:
-        text, operands = "variance %r >= mean*(1-mean) = %r", (variance, bound)
-        reason = ": no Beta distribution has these moments"
+        texts, operands = _AT_BOUND_TEXTS, (variance, bound)
     else:
-        text, operands = "variance %r < mean*(1-mean)*2**-1022", (variance,)
-        reason = ": the Beta shapes would overflow"
-    if m != mean:
-        text, operands = text + " of the mean %r clamped to %r", (*operands, mean, m)
-    return InvalidVarianceError(text + reason, *operands)
+        texts, operands = _TOO_SMALL_TEXTS, (variance,)
+    if m == mean:
+        return InvalidVarianceError(texts[0], *operands)
+    return InvalidVarianceError(texts[1], *operands, mean, m)
 
 
 def _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b):
@@ -186,8 +194,7 @@ def _checked_posterior(alpha_a, beta_a, alpha_b, beta_b) -> tuple[float, float]:
     """Posterior shapes; DegeneratePosteriorError unless both are positive."""
     alpha, beta = _posterior_shapes(alpha_a, beta_a, alpha_b, beta_b)
     if alpha <= 0.0 or beta <= 0.0:
-        raise DegeneratePosteriorError("posterior shapes (%r, %r) are not both positive",
-                                       alpha, beta)
+        raise DegeneratePosteriorError(_DEGENERATE_TEXT, alpha, beta)
     return alpha, beta
 
 

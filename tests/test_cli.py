@@ -285,6 +285,15 @@ class TestSimulate:
         assert cp.returncode == 1
         assert out.is_dir() and not any(out.iterdir())
 
+    def test_unwritable_file_exits_one_after_making_out(self, tmp_path):
+        # the seed-196 scenario has no edge errors, so the write's is the only stderr line
+        blocked = tmp_path / "matrices.csv"
+        blocked.mkdir()
+        cp = run_cli(*SEED_196, "--out", str(tmp_path))
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", f"betatrust simulate: {error}\n")
+        assert list(tmp_path.iterdir()) == [blocked] and not any(blocked.iterdir())
+
     def test_nodes_required(self, tmp_path):
         cp = run_cli("simulate", "--out", str(tmp_path / "x"))
         assert cp.returncode == 1

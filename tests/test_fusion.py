@@ -357,6 +357,17 @@ def test_one_argument_error_prints_its_text_unchanged(error):
     assert str(pickle.loads(pickle.dumps(error))) == str(copy.copy(error)) == error.args[0]
 
 
+# errors of more than one argument that no fusion check raised: "%" finds too many, too
+# few or malformed fields in their first argument, or it is not a str at all
+PLAIN_ERRORS = [TrustError("bad value", 5), RangeError("x", 1.5), TrustError(1, 2),
+                TrustError("50%", "x"), InvalidVarianceError("variance %r", 0.5), TrustError()]
+
+
+@pytest.mark.parametrize("error", PLAIN_ERRORS, ids=repr)
+def test_other_errors_print_as_exception_does(error):
+    assert str(error) == Exception.__str__(error)
+
+
 def test_range_error_text_with_format_fields_prints_unchanged():
     with pytest.raises(RangeError) as info:
         TrustEstimate("{0} %s")

@@ -809,6 +809,24 @@ def test_run_assessment_is_total(network, values):
     assert set(failed) | set(result.decisions) == set(network.edges)
 
 
+@pytest.mark.parametrize("error", [TrustError("bad value", 5), RangeError("x", 1.5),
+                                   TrustError(1, 2), TrustError("50%", "x")], ids=repr)
+def test_a_combiner_error_of_any_args_ends_its_edge(error):
+    network = generate_network(fifteen_node_config())
+    fused = run_assessment(network)
+    reached = {(e.from_node, e.to_node) for e in fused.errors} | {
+        edge for edge, decision in fused.decisions.items() if decision.reached_combined}
+
+    def raising(direct, indirect):
+        raise error
+
+    result = run_assessment(network, raising)
+    assert reached and {(e.from_node, e.to_node) for e in result.errors} == reached
+    assert {(e.kind, e.message) for e in result.errors} == {
+        (type(error).__name__, Exception.__str__(error))}
+    assert set(result.decisions) == set(network.edges) - reached
+
+
 def custom_combiner(direct, indirect):
     """A scalar combiner without a column form; it leaves [0, 1] at both ends."""
     return 1.5 * combined_trust(direct, indirect) - 0.25
