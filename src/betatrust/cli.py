@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import documents, netsim
-from .decision import COMBINERS, Decision, RiskAppetite, evaluate_request
+from .decision import COMBINERS, RiskAppetite, evaluate_request
 from .errors import TrustError
 from .fusion import (
     DEFAULT_VARIANCE,
@@ -138,10 +138,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"errors {len(result.errors)}")
     print(f"wrote {matrices_path}")
     print(f"wrote {series_path}")
-    # every failed edge reached C: the A and B branches cannot fail
-    reached = len(result.errors) + sum(
-        count for name, count in tally.items() if Decision(name).reached_combined
-    )
+    # the edges that reached C, the only ones that can fail
+    reached = len(network.src) - tally["AcceptDirect"] - tally["AcceptIndirect"]
     if 2 * len(result.errors) > reached:
         print(f"betatrust simulate: {len(result.errors)} of {reached} edges that reached C failed",
               file=sys.stderr)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -48,9 +47,6 @@ from .netsim import _SECTIONS, EDGE_COLUMNS, AssessmentResult, Network, _section
 SCHEMA_VERSION = 1
 MATRIX_SECTIONS = tuple(_SECTIONS)
 MATRIX_HEADER = "# trust matrices v1"
-
-#: The three-node reference network shipped with the package.
-THREE_NODE_RESOURCE = "three_node_network.json"
 
 _BLOCK_CELLS = 64 * 300  # table cells formatted at a time
 
@@ -88,7 +84,7 @@ def document_to_network(doc: Mapping[str, Any]) -> Network:
     """Build a Network from a parsed document, applying the defaults."""
     _require(isinstance(doc, dict), "document must be a JSON object", "$")
     version = doc.get("schema_version")
-    _require(version == SCHEMA_VERSION,
+    _require(type(version) is int and version == SCHEMA_VERSION,  # True and 1.0 equal 1
              f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
              "schema_version")
 
@@ -186,8 +182,7 @@ def save_network(network: Network, path: str | Path) -> None:
 
 def load_bundled_three_node() -> Network:
     """Load the three-node reference network shipped inside the package."""
-    with resources.as_file(resources.files("betatrust") / "data" / THREE_NODE_RESOURCE) as path:
-        return load_network(path)
+    return load_network(Path(__file__).with_name("data") / "three_node_network.json")
 
 
 def _square(name: str, matrix: np.ndarray, n: int) -> np.ndarray:

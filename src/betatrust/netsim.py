@@ -182,9 +182,8 @@ class Network:
             if column.ndim == 1 and not isinstance(items, np.ndarray) and not {
                     bool, np.bool_}.isdisjoint(map(type, items)):
                 raise ConfigurationError(f"{name} must hold {what}, got bool")
-            columns.append(column)
-        src, dst = (_own(end, np.int64) for end in columns[:2])
-        *columns, max_risk = (_own(column, np.float64) for column in columns[2:])
+            columns.append(_own(column, np.int64 if ends else np.float64))
+        src, dst, *columns, max_risk = columns
         if any(len(column) != len(src) for column in (dst, *columns)):
             raise ConfigurationError("edge columns differ in length")
         bad = (src == dst) | (src < 1) | (src > n) | (dst < 1) | (dst > n)

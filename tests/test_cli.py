@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run through ``python -m betatrust`` (``fuse``'s table through ``main``)."""
 import errno
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -461,3 +462,23 @@ def test_scalar_commands_never_import_numpy_random():
     cp = subprocess.run([sys.executable, "-W", "error", "-c", NUMPY_RANDOM_PROBE],
                         capture_output=True, text=True)
     assert cp.stdout == "[False, False, False, False, True]\n", cp.stderr
+
+
+# the bundled network is read by its path, so no command loads importlib.resources; -S keeps
+# out the .pth files of site-packages, which may load it themselves, and the test's sys.path
+# then finds betatrust and numpy
+RESOURCES_PROBE = """
+import contextlib, io, json, sys
+sys.path[:] = json.loads(sys.argv[1])
+import betatrust
+from betatrust import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["reproduce-table1"])
+print(code, "importlib.resources" in sys.modules)
+"""
+
+
+def test_reproduce_table1_never_imports_importlib_resources():
+    cp = subprocess.run([sys.executable, "-S", "-c", RESOURCES_PROBE, json.dumps(sys.path)],
+                        capture_output=True, text=True)
+    assert cp.stdout == "0 False\n", cp.stderr

@@ -284,11 +284,14 @@ class TestNetworkDocument:
         with pytest.raises(NetworkDocumentError, match="unique"):
             document_to_network(doc)
 
-    def test_wrong_schema_version(self):
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"])  # True and 1.0 equal 1
+    def test_wrong_schema_version(self, version):
         doc = minimal_document()
-        doc["schema_version"] = 99
-        with pytest.raises(NetworkDocumentError, match="schema_version"):
+        doc["schema_version"] = version
+        with pytest.raises(NetworkDocumentError) as info:
             document_to_network(doc)
+        assert str(info.value) == (
+            f"schema_version: unsupported schema_version {version!r} (expected 1)")
 
     def test_unparsable_file(self, tmp_path):
         path = tmp_path / "broken.json"
